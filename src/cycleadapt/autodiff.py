@@ -11,7 +11,17 @@ Deliberate constraints, chosen for debuggability at desk scale:
 * float64 everywhere; gradient checking needs the headroom
 * no implicit broadcasting except scalar-with-tensor
 * any op that produces a non-finite value raises :class:`NonFiniteError`
-  naming the op, so adversarial-training blowups surface immediately
+  naming the op, so adversarial-training blowups surface immediately.
+  Inside :func:`unchecked` these per-op checks are off; the training step
+  uses it to check only its loss and its flat gradient, once per step, and
+  replays the step's forward with checks on when either is non-finite, so
+  the error still names the op that went non-finite first. A non-finite
+  intermediate that reaches neither the loss nor any gradient (say, a
+  logit that overflowed and was then floored away) no longer stops a step
+* ``mlp`` and ``mean_log_sigmoid`` are fused ops: one graph node for a
+  whole network application or discriminator head, whose values,
+  gradients and non-finite checks are bit-for-bit those of the chain of
+  single ops they replace
 * ``grad_reversal`` is the identity forward and multiplies the upstream
   gradient by ``-coeff`` backward; it is what lets one descent step drive
   both sides of a minimax game
@@ -34,14 +44,14 @@ __all__ = [
     "GraphError",
     "NonFiniteError",
     "no_grad",
-    "grad_enabled",
+    "unchecked",
     "as_tensor",
     "add",
     "sub",
     "mul",
     "matmul",
     "linear",
-    "elementwise",
+    "mlp",
     "activation",
     "relu",
     "tanh",
@@ -51,6 +61,7 @@ __all__ = [
     "clamp_min",
     "log_softmax",
     "log_sigmoid",
+    "mean_log_sigmoid",
     "outer_product",
     "row_outer",
     "gather_rows",
@@ -81,6 +92,7 @@ class NonFiniteError(FloatingPointError):
 
 
 _GRAD_ENABLED = True
+_CHECK_FINITE = True
 
 
 @contextmanager
@@ -95,8 +107,26 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+@contextmanager
+def unchecked():
+    """Suspend the per-op finiteness checks and numpy's floating-point
+    warnings. The caller owns checking the result; replaying the same ops
+    outside this context raises at the op that went non-finite first."""
+    global _CHECK_FINITE
+    prev = _CHECK_FINITE
+    _CHECK_FINITE = False
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _CHECK_FINITE = prev
+
+
+def _check(data: Array, op: str) -> None:
+    # A sum of finite float64 values can only be non-finite if an operand
+    # was, or on astronomic overflow; either way the op must be flagged.
+    if _CHECK_FINITE and not math.isfinite(float(data.sum())):
+        raise NonFiniteError(op)
 
 
 # Backward closures receive the output gradient and return one gradient
@@ -109,7 +139,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if _CHECK_FINITE and not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor", "non-finite input data")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -147,25 +177,29 @@ class Tensor:
         if not self.requires_grad:
             return
 
+        # Depth-first post-order over the recorded nodes. Leaves are left
+        # out of the walk (they have no parents, so this leaves the order of
+        # the recorded nodes unchanged) and receive their sums at the end.
+        # Tensors hash by identity, so they key the sets and dicts directly.
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and p not in seen:
                     stack.append((p, False))
 
-        pending: dict[int, Array] = {id(self): np.ones_like(self.data)}
+        pending: dict[Tensor, Array] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = pending.pop(id(node), None)
+            g = pending.pop(node, None)
             if g is None:
                 continue
             # accumulation stays out-of-place: closure outputs may alias
@@ -176,11 +210,12 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                if key in pending:
-                    pending[key] = pending[key] + pg
+                if parent in pending:
+                    pending[parent] = pending[parent] + pg
                 else:
-                    pending[key] = pg
+                    pending[parent] = pg
+        for leaf, g in pending.items():
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
     # Operator sugar; scalars are the only permitted implicit broadcast.
     def __add__(self, other):
@@ -220,10 +255,11 @@ def as_tensor(x) -> Tensor:
 
 
 def _result(data: Array, op: str, parents: tuple[Tensor, ...], backward: BackwardFn) -> Tensor:
-    # A sum of finite float64 values can only be non-finite if an operand
-    # was, or on astronomic overflow; either way the op must be flagged.
-    if not math.isfinite(float(data.sum())):
-        raise NonFiniteError(op)
+    _check(data, op)
+    return _node(data, op, parents, backward)
+
+
+def _node(data: Array, op: str, parents: tuple[Tensor, ...], backward: BackwardFn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -297,14 +333,6 @@ def mul(a, b) -> Tensor:
     return _result(ad * bd, "mul", (a, b), bwd)
 
 
-def elementwise(a, b, kind: str) -> Tensor:
-    """Dispatcher for the binary elementwise family."""
-    ops = {"add": add, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return ops[kind](a, b)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -368,6 +396,70 @@ def activation(x: Tensor, kind: str) -> Tensor:
     return _ACTIVATIONS[kind](x)
 
 
+def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
+    """A stack of affine layers with activation ``kind`` between them, as
+    one graph node.
+
+    ``params`` is (weight_0, bias_0, weight_1, bias_1, ...); each layer is
+    ``h @ weight.T + bias`` as in :func:`linear`, and the last one has no
+    activation. Values, gradients and the op a non-finite check names
+    ('linear' or ``kind``) are bit-for-bit those of the unfused chain of
+    ``linear`` and ``activation`` nodes. Only the layer inputs are kept for
+    the backward pass, since each activation's derivative follows from its
+    output; under ``no_grad`` nothing is kept and relu works in place.
+    """
+    x = as_tensor(x)
+    if kind not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation kind {kind!r}")
+    weights, biases = params[0::2], params[1::2]
+    if x.data.ndim != 2 or x.shape[1] != weights[0].shape[1]:
+        raise DimensionError(f"mlp expects x[n, {weights[0].shape[1]}], got {x.shape}")
+    parents = (x, *params)
+    record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    ws = [w.data for w in weights]
+    last = len(ws) - 1
+    inputs: list[Array] = []
+    h = x.data
+    for i, w in enumerate(ws):
+        if record:
+            inputs.append(h)
+        h = h @ w.T
+        h += biases[i].data
+        _check(h, "linear")
+        if i == last:
+            break
+        if kind == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif kind == "tanh":
+            h = np.tanh(h)
+        else:
+            h = _sigmoid_stable(h)
+        _check(h, kind)
+
+    def backward(g):
+        grads: list[Array | None] = [None] * len(parents)
+        for i in range(last, -1, -1):
+            if weights[i].requires_grad:
+                grads[2 * i + 1] = g.T @ inputs[i]
+            if biases[i].requires_grad:
+                grads[2 * i + 2] = g.sum(axis=0)
+            if i == 0:
+                if x.requires_grad:
+                    grads[0] = g @ ws[0]
+                break
+            g = g @ ws[i]
+            a = inputs[i]  # the activation's output
+            if kind == "relu":
+                g = g * (a > 0.0)
+            elif kind == "tanh":
+                g = g * (1.0 - a * a)
+            else:
+                g = g * a * (1.0 - a)
+        return grads
+
+    return _node(h, "mlp", parents, backward)
+
+
 def exp(x: Tensor) -> Tensor:
     x = as_tensor(x)
     with np.errstate(over="ignore"):
@@ -410,6 +502,39 @@ def log_sigmoid(x: Tensor) -> Tensor:
     out = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
     s = _sigmoid_stable(z)
     return _result(out, "log_sigmoid", (x,), lambda g: (g * (1.0 - s),))
+
+
+def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
+    """mean(clamp_min(log_sigmoid(z), floor)) for z = x, or z = -x when
+    ``negate``, as one graph node.
+
+    With D = sigmoid(x) this is the floored E[log D], or E[log(1 - D)]
+    when negated: one side of a discriminator's log-likelihood. Values,
+    gradients and the op a non-finite check names are bit-for-bit those
+    of the unfused chain mul(x, -1), log_sigmoid, clamp_min, mean.
+    """
+    x = as_tensor(x)
+    z = x.data
+    if negate:
+        z = z * -1.0
+        _check(z, "mul")
+    e = np.exp(-np.abs(z))
+    ls = np.minimum(z, 0.0) - np.log1p(e)
+    _check(ls, "log_sigmoid")
+    mask = ls > floor
+    clamped = np.where(mask, ls, floor)
+    _check(clamped, "clamp_min")
+    out = np.asarray(clamped.mean())
+    _check(out, "mean")
+    shape, n = z.shape, z.size
+
+    def backward(g):
+        # the sigmoid of z, as _sigmoid_stable computes it from the same e
+        s = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        gz = np.full(shape, float(g) / n) * mask * (1.0 - s)
+        return (gz * -1.0 if negate else gz,)
+
+    return _node(out, "mean_log_sigmoid", (x,), backward)
 
 
 def outer_product(f: Tensor, p: Tensor) -> Tensor:

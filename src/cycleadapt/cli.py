@@ -7,12 +7,14 @@ Exit codes: 0 success, 1 check failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .data import (
     load_pair_csv,
     save_pair_csv,
 )
-from .gradcheck import COMPONENTS, run_components
 from .trainer import (
     ABLATION_MODES,
     CheckpointError,
@@ -53,18 +54,28 @@ class CliError(Exception):
         self.code = code
 
 
+@functools.lru_cache(maxsize=None)
 def _version_string() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return f"{__version__}+{out.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
+    """``__version__``, plus ``+<git describe>`` when the package runs from
+    its own source checkout (``src/cycleadapt`` in a git work tree).
+
+    Computed once per process, and never from the caller's working
+    directory, which may be some other repository.
+    """
+    root = Path(__file__).resolve().parent.parent.parent
+    if (root / ".git").exists() and (root / "pyproject.toml").is_file():
+        try:
+            out = subprocess.run(
+                ["git", "describe", "--always", "--dirty"],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                timeout=5,
+            )
+            if out.returncode == 0 and out.stdout.strip():
+                return f"{__version__}+{out.stdout.strip()}"
+        except (OSError, subprocess.SubprocessError):
+            pass
     return __version__
 
 
@@ -354,6 +365,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    # imported here, as only this command needs it: the other commands
+    # start faster without it
+    from .gradcheck import COMPONENTS, run_components
+
     if args.component != "all" and args.component not in COMPONENTS:
         raise CliError(
             f"unknown component {args.component!r}; choose from "

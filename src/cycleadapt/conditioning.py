@@ -7,7 +7,7 @@ inner products in expectation when the exact product would be too wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,14 @@ class RandomizedMaps:
     r_f: np.ndarray  # [d, dim_f]
     r_p: np.ndarray  # [d, dim_p]
     seed: int
+    # the transposed maps wrapped as constants once, so that a forward pass
+    # does not rescan them for non-finite values
+    r_f_t: Tensor = field(init=False, repr=False, compare=False)
+    r_p_t: Tensor = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "r_f_t", Tensor(self.r_f.T))
+        object.__setattr__(self, "r_p_t", Tensor(self.r_p.T))
 
     @property
     def out_dim(self) -> int:
@@ -108,8 +116,8 @@ def randomized_condition(f: Tensor, p: Tensor, maps: RandomizedMaps) -> Tensor:
             f"map dims ({maps.dim_f}, {maps.dim_p}) do not match "
             f"inputs ({f.shape[1]}, {p.shape[1]})"
         )
-    proj_f = f @ Tensor(maps.r_f.T)
-    proj_p = p @ Tensor(maps.r_p.T)
+    proj_f = f @ maps.r_f_t
+    proj_p = p @ maps.r_p_t
     return mul(mul(proj_f, proj_p), 1.0 / np.sqrt(maps.out_dim))
 
 

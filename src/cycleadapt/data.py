@@ -11,6 +11,7 @@ absent in target files, which disables evaluation for that pair.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,9 +255,11 @@ def _load_domain_csv(path) -> tuple[Array, Array | None]:
         width = len(feat_cols)
         xs: list[list[float]] = []
         ys: list[int] = []
+        linenos: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            linenos.append(lineno)
             if len(row) != len(header):
                 raise CsvSchemaError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -270,6 +273,16 @@ def _load_domain_csv(path) -> tuple[Array, Array | None]:
     if not xs:
         raise CsvSchemaError(f"{path}: no data rows")
     x = np.asarray(xs, dtype=np.float64)
+    # one pass over the parsed table; a non-finite sum can also be an
+    # overflow of finite values, so only then look row by row
+    if not math.isfinite(float(x.sum())):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            row = int(bad.any(axis=1).argmax())
+            col = int(bad[row].argmax())
+            raise CsvSchemaError(
+                f"{path}:{linenos[row]}: non-finite value {float(x[row, col])!r} in column f{col}"
+            )
     y = np.asarray(ys, dtype=np.int64) if has_label else None
     return x, y
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
+    LOG_FLOOR,
     GradCheckReport,
     Tensor,
     activation,
@@ -31,6 +32,8 @@ from .autodiff import (
     log_sigmoid,
     log_softmax,
     matmul,
+    mean_log_sigmoid,
+    mlp,
     mul,
     outer_product,
     row_outer,
@@ -102,6 +105,27 @@ def _check_activations(seed: int, eps: float, tol: float) -> GradCheckReport:
     return finite_diff_check(fn, [x_relu, x_tanh, x_sig], eps, tol, ["relu", "tanh", "sigmoid"])
 
 
+def _check_mlp(seed: int, eps: float, tol: float) -> GradCheckReport:
+    """The fused network node, with both smooth hidden activations (relu's
+    kinks are covered by the ``activations`` component and by the fused
+    node's bitwise equality with the unfused chain)."""
+    rng = _rng(seed, 16)
+    x = _t(rng, 4, 3)
+    nets = {
+        kind: [_t(rng, 5, 3), _t(rng, 5), _t(rng, 4, 5), _t(rng, 4), _t(rng, 2, 4), _t(rng, 2)]
+        for kind in ("tanh", "sigmoid")
+    }
+    w = Tensor(rng.standard_normal((4, 2)))
+
+    def fn():
+        out = mul(mlp(x, nets["tanh"], "tanh"), w).sum()
+        return out + mul(mlp(x, nets["sigmoid"], "sigmoid"), w).sum()
+
+    params = [x, *nets["tanh"], *nets["sigmoid"]]
+    names = ["x"] + [f"{kind}.{i}" for kind in nets for i in range(6)]
+    return finite_diff_check(fn, params, eps, tol, names)
+
+
 def _check_log_softmax(seed: int, eps: float, tol: float) -> GradCheckReport:
     rng = _rng(seed, 5)
     x = _t(rng, 4, 5)
@@ -129,6 +153,19 @@ def _check_clamp_min(seed: int, eps: float, tol: float) -> GradCheckReport:
     return finite_diff_check(
         lambda: mul(clamp_min(x, 0.0), clamp_min(x, 0.0)).sum(), [x], eps, tol, ["x"]
     )
+
+
+def _check_discriminator_head(seed: int, eps: float, tol: float) -> GradCheckReport:
+    """The fused head on both sides of a game, with logits spread wide
+    enough that some land past the log floor (zero gradient there)."""
+    rng = _rng(seed, 17)
+    x = Tensor(rng.standard_normal((8, 1)) * 4.0, requires_grad=True)
+    x.data[0, 0], x.data[1, 0] = -40.0, 40.0
+
+    def fn():
+        return mean_log_sigmoid(x, LOG_FLOOR) + mean_log_sigmoid(x, LOG_FLOOR, negate=True)
+
+    return finite_diff_check(fn, [x], eps, tol, ["x"])
 
 
 def _check_outer_product(seed: int, eps: float, tol: float) -> GradCheckReport:
@@ -355,10 +392,12 @@ COMPONENTS = {
     "elementwise": _check_elementwise,
     "linear": _check_linear,
     "activations": _check_activations,
+    "mlp": _check_mlp,
     "log_softmax": _check_log_softmax,
     "log_sigmoid": _check_log_sigmoid,
     "exp": _check_exp,
     "clamp_min": _check_clamp_min,
+    "discriminator_head": _check_discriminator_head,
     "outer_product": _check_outer_product,
     "row_outer": _check_row_outer,
     "cross_entropy": _check_cross_entropy,

@@ -30,11 +30,10 @@ from .autodiff import (
     LOG_FLOOR,
     Tensor,
     add,
-    clamp_min,
     exp,
     gather_rows,
     grad_reversal,
-    log_sigmoid,
+    mean_log_sigmoid,
     mul,
     sub,
 )
@@ -105,21 +104,18 @@ def _rigged_logits(disc: Mlp, x: Tensor, grl_coeff: float, rig: bool) -> Tensor:
     return grad_reversal(disc.forward_logits(grad_reversal(x, grl_coeff)), 1.0)
 
 
-def _log_d(logits: Tensor) -> Tensor:
-    # log D(x), stable in the logits and floored so the loss stays finite
-    return clamp_min(log_sigmoid(logits), LOG_FLOOR)
-
-
-def _log_one_minus_d(logits: Tensor) -> Tensor:
-    return clamp_min(log_sigmoid(mul(logits, -1.0)), LOG_FLOOR)
-
-
 def adversarial_pair(
     disc: Mlp, x_real: Tensor, x_fake: Tensor, grl_coeff: float, rig: bool
 ) -> Tensor:
-    """E[log D(real)] + E[log(1 - D(fake))], one mean per batch."""
-    real = _log_d(_rigged_logits(disc, x_real, grl_coeff, rig)).mean()
-    fake = _log_one_minus_d(_rigged_logits(disc, x_fake, grl_coeff, rig)).mean()
+    """E[log D(real)] + E[log(1 - D(fake))], one mean per batch.
+
+    log D is computed stably from the logits and floored at LOG_FLOOR, so
+    the loss stays finite however confident the discriminator gets.
+    """
+    real = mean_log_sigmoid(_rigged_logits(disc, x_real, grl_coeff, rig), LOG_FLOOR)
+    fake = mean_log_sigmoid(
+        _rigged_logits(disc, x_fake, grl_coeff, rig), LOG_FLOOR, negate=True
+    )
     return add(real, fake)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -11,9 +11,8 @@ from .autodiff import (
     DimensionError,
     NonFiniteError,
     Tensor,
-    activation,
-    linear,
     log_softmax,
+    mlp,
     sigmoid,
 )
 
@@ -33,9 +32,6 @@ class LinearLayer:
     @property
     def out_dim(self) -> int:
         return self.weight.shape[0]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
 
 
 def init_linear(
@@ -91,12 +87,10 @@ class Mlp:
         return self.layers[-1].out_dim
 
     def forward_logits(self, x: Tensor) -> Tensor:
-        h = x
-        for layer in self.layers[:-1]:
-            h = activation(layer(h), self.hidden_activation)
-        if self.layers:
-            h = self.layers[-1](h)
-        return h
+        """The layers and hidden activations as one fused graph node."""
+        if not self.layers:
+            return x
+        return mlp(x, self.parameters(), self.hidden_activation)
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.forward_logits(x)
@@ -159,63 +153,84 @@ def collect_params(obj) -> list[Tensor]:
     raise TypeError(f"cannot collect parameters from {type(obj).__name__}")
 
 
-@dataclass
-class SgdState:
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    velocity: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.lr < 0.0:
-            raise ValueError("lr must be nonnegative")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
+def _runs(grads: list) -> list[tuple[int, int, bool]]:
+    """Maximal runs [start, stop) of parameters that all have, or all lack,
+    a gradient."""
+    runs = []
+    start = 0
+    for i in range(1, len(grads) + 1):
+        if i == len(grads) or (grads[i] is None) != (grads[start] is None):
+            runs.append((start, i, grads[start] is not None))
+            start = i
+    return runs
 
 
 class Sgd:
     """Mini-batch SGD: v <- m*v + grad + wd*param; param <- param - lr*v.
 
-    ``step`` clears the gradients it consumed. Parameters without a grad
-    are skipped (their velocity still decays toward zero).
+    Every parameter's ``data`` becomes a view into one flat float64 buffer
+    (so parameters must be updated in place, not rebound, while the
+    optimizer owns them), and the velocity is one flat buffer beside it.
+    ``step`` checks the whole gradient for finiteness once, before any
+    parameter moves, then updates each contiguous run of parameters that
+    has a gradient with a few whole-run numpy calls; runs without a
+    gradient only decay their velocity. It clears the gradients it
+    consumed.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
+        if lr < 0.0:
+            raise ValueError("lr must be nonnegative")
+        if not (0.0 <= momentum < 1.0):
+            raise ValueError("momentum must be in [0, 1)")
+        if weight_decay < 0.0:
+            raise ValueError("weight_decay must be nonnegative")
+        self.lr = lr
+        self.momentum = momentum
+        self.weight_decay = weight_decay
         self.params = list(params)
-        self.state = SgdState(
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            velocity=[np.zeros_like(p.data) for p in self.params],
-        )
+        self.offsets = [0]
+        for p in self.params:
+            self.offsets.append(self.offsets[-1] + p.size)
+        self.flat = np.zeros(self.offsets[-1])
+        for p, a, b in zip(self.params, self.offsets, self.offsets[1:]):
+            self.flat[a:b] = p.data.reshape(-1)
+            p.data = self.flat[a:b].reshape(p.shape)
+        self.velocity = np.zeros_like(self.flat)
+        self._grad = np.zeros_like(self.flat)
+        self._tmp = np.empty_like(self.flat)
+        self._mask = np.empty(self.flat.shape, dtype=bool)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
-        s = self.state
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                s.velocity[i] *= s.momentum
-                continue
-            if not np.all(np.isfinite(g)):
+        grads = [p.grad for p in self.params]
+        runs = [
+            (self.offsets[a], self.offsets[b], grads[a:b] if has_grad else None)
+            for a, b, has_grad in _runs(grads)
+        ]
+        # gather before any update so that a non-finite gradient moves nothing
+        for lo, hi, run_grads in runs:
+            if run_grads is not None:
+                np.concatenate([g.reshape(-1) for g in run_grads], out=self._grad[lo:hi])
+        finite = np.isfinite(self._grad, out=self._mask)
+        for lo, hi, run_grads in runs:
+            if run_grads is not None and not finite[lo:hi].all():
+                bad = lo + int(np.argmin(finite[lo:hi]))
+                i = int(np.searchsorted(self.offsets, bad, side="right")) - 1
                 raise NonFiniteError("sgd_step", f"gradient of parameter {i}")
-            v = s.momentum * s.velocity[i] + g + s.weight_decay * p.data
-            s.velocity[i] = v
-            p.data = p.data - s.lr * v
+        # v = m*v + g + wd*p; p -= lr*v, in place through one scratch buffer
+        for lo, hi, run_grads in runs:
+            v = self.velocity[lo:hi]
+            v *= self.momentum
+            if run_grads is None:
+                continue
+            p, tmp = self.flat[lo:hi], self._tmp[lo:hi]
+            v += self._grad[lo:hi]
+            v += np.multiply(p, self.weight_decay, out=tmp)
+            p -= np.multiply(v, self.lr, out=tmp)
+        for p in self.params:
             p.grad = None
-
-
-def sgd_step(params: Sequence[Tensor], state: SgdState) -> None:
-    """Functional form of the update for callers that manage state directly."""
-    if len(state.velocity) != len(params):
-        state.velocity = [np.zeros_like(p.data) for p in params]
-    opt = Sgd.__new__(Sgd)
-    opt.params = list(params)
-    opt.state = state
-    opt.step()

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, add, exp, mul, no_grad, sigmoid
+from .autodiff import NonFiniteError, Tensor, add, exp, mul, no_grad, sigmoid, unchecked
 from .data import DomainPair
 from .losses import (
     LossBreakdown,
@@ -387,6 +387,44 @@ def _alternating_step(
     return breakdown
 
 
+def _grl_step(
+    suite: ModelSuite,
+    opt: Sgd,
+    x_s: Tensor,
+    y_s: np.ndarray,
+    x_t: Tensor | None,
+    weights: LossWeights,
+    grl_coeff: float,
+) -> LossBreakdown:
+    """One descent step on the rigged objective.
+
+    Forward and backward run without per-op finiteness checks; the loss is
+    checked here and the flat gradient inside ``opt.step``, once each,
+    before any parameter moves. If either is non-finite the step's forward
+    is replayed with checks on, so the error names the op that went
+    non-finite first, as a fully checked step would; a replay that passes
+    leaves the optimizer's ``sgd_step`` error.
+    """
+
+    def forward():
+        return total_loss(suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True)
+
+    with unchecked():
+        total, breakdown = forward()
+        finite = math.isfinite(breakdown.l_total)
+        if finite:
+            total.backward()
+    try:
+        if not finite:
+            raise NonFiniteError("total_loss")
+        opt.step()
+    except NonFiniteError:
+        with no_grad():
+            forward()
+        raise
+    return breakdown
+
+
 class _MetricsWriter:
     def __init__(self, path):
         self.fh = open(path, "w", newline="", encoding="utf-8")
@@ -471,7 +509,7 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
             progress = step / cfg.total_steps
             lr_now = _lr_at(cfg.lr_schedule, cfg.lr, progress)
             for opt in opts:
-                opt.state.lr = lr_now
+                opt.lr = lr_now
 
             idx_s = src_stream.next()
             x_s = Tensor(data.x_s[idx_s])
@@ -480,16 +518,10 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
 
             try:
                 if cfg.minimax_mode == "grl":
-                    total, breakdown = total_loss(
-                        suite,
-                        (x_s, y_s),
-                        x_t,
-                        weights,
-                        grl_coeff=_grl_coeff(cfg.grl_schedule, progress),
-                        rig_minimax=True,
+                    breakdown = _grl_step(
+                        suite, opts[0], x_s, y_s, x_t, weights,
+                        _grl_coeff(cfg.grl_schedule, progress),
                     )
-                    total.backward()
-                    opts[0].step()
                 else:
                     breakdown = _alternating_step(
                         suite, opts[0], opts[1], x_s, y_s, x_t, weights

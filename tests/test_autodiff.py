@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,21 +13,24 @@ from cycleadapt.autodiff import (
     activation,
     add,
     clamp_min,
-    elementwise,
     exp,
     finite_diff_check,
     gather_rows,
     grad_reversal,
     linear,
+    LOG_FLOOR,
     log,
     log_sigmoid,
     log_softmax,
     matmul,
+    mean_log_sigmoid,
+    mlp,
     mul,
     no_grad,
     outer_product,
     row_outer,
     sub,
+    unchecked,
 )
 
 finite_arrays = st.lists(
@@ -66,7 +71,7 @@ class TestMatmul:
 
 class TestElementwise:
     def test_add(self):
-        out = elementwise(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]), "add")
+        out = add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         np.testing.assert_array_equal(out.data, [4, 6])
 
     def test_mul_by_zeros_and_its_gradient(self):
@@ -94,10 +99,6 @@ class TestElementwise:
         out.sum().backward()
         np.testing.assert_array_equal(grad_of(x), [3, 3])
         assert float(grad_of(s)) == pytest.approx(3.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            elementwise(Tensor([1.0]), Tensor([1.0]), "div")
 
     @given(vals=finite_arrays)
     @settings(max_examples=25, deadline=None)
@@ -352,3 +353,142 @@ class TestFiniteDiffCheck:
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
             finite_diff_check(lambda: mul(x, x).sum(), [x], eps=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Fused ops against the chains of single ops they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _unfused_mlp(x, params, kind):
+    h = x
+    n = len(params) // 2
+    for i in range(n):
+        h = linear(h, params[2 * i], params[2 * i + 1])
+        if i < n - 1:
+            h = activation(h, kind)
+    return h
+
+
+def _unfused_head(x, negate):
+    z = mul(x, -1.0) if negate else x
+    return clamp_min(log_sigmoid(z), LOG_FLOOR).mean()
+
+
+def _twin(arr):
+    return Tensor(arr.copy(), requires_grad=True), Tensor(arr.copy(), requires_grad=True)
+
+
+def _assert_bitwise(a, b, what):
+    assert a.shape == b.shape and np.array_equal(a, b), what
+
+
+class TestFusedOps:
+    @given(
+        dims=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        rows=st.integers(1, 5),
+        kind=st.sampled_from(["relu", "tanh", "sigmoid"]),
+        coeff=st.sampled_from([0.0, 0.25, 1.0, 1.7]),
+        x_grad=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mlp_equals_unfused_chain_bitwise(self, dims, rows, kind, coeff, x_grad, seed):
+        rng = np.random.default_rng(seed)
+        fused_p, plain_p = [], []
+        for i, o in zip(dims[:-1], dims[1:]):
+            for shape in ((o, i), (o,)):
+                a, b = _twin(rng.standard_normal(shape))
+                fused_p.append(a)
+                plain_p.append(b)
+        x_f = Tensor(rng.standard_normal((rows, dims[0])), requires_grad=x_grad)
+        x_p = Tensor(x_f.data.copy(), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((rows, dims[-1])))
+
+        def loss(net, x, params):
+            # reversal on both sides, as in a rigged discriminator, and the
+            # same network applied twice, so per-use gradients are summed
+            out = grad_reversal(net(grad_reversal(x, coeff), params), 1.0)
+            total = mul(out, w).sum()
+            if dims[0] == dims[-1]:
+                total = add(total, mul(net(out, params), w).sum())
+            else:
+                total = add(total, mul(net(x, params), w).sum())
+            return out, total
+
+        out_f, total_f = loss(lambda x, p: mlp(x, p, kind), x_f, fused_p)
+        out_p, total_p = loss(lambda x, p: _unfused_mlp(x, p, kind), x_p, plain_p)
+        _assert_bitwise(out_f.data, out_p.data, "forward")
+        _assert_bitwise(total_f.data, total_p.data, "loss")
+        total_f.backward()
+        total_p.backward()
+        if x_grad:
+            _assert_bitwise(x_f.grad, x_p.grad, "input gradient")
+        for i, (a, b) in enumerate(zip(fused_p, plain_p)):
+            _assert_bitwise(a.grad, b.grad, f"parameter {i} gradient")
+
+    @given(
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 3),
+        scale=st.sampled_from([0.1, 1.0, 10.0, 60.0]),
+        negate=st.booleans(),
+        coeff=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_head_equals_unfused_chain_bitwise(self, rows, cols, scale, negate, coeff, seed):
+        rng = np.random.default_rng(seed)
+        x_f, x_p = _twin(rng.standard_normal((rows, cols)) * scale)
+        out_f = mean_log_sigmoid(grad_reversal(x_f, coeff), LOG_FLOOR, negate=negate)
+        out_p = _unfused_head(grad_reversal(x_p, coeff), negate)
+        _assert_bitwise(out_f.data, out_p.data, "forward")
+        mul(out_f, 0.37).backward()
+        mul(out_p, 0.37).backward()
+        _assert_bitwise(x_f.grad, x_p.grad, "input gradient")
+
+    def test_fused_nodes_record_one_node_each(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        params = [Tensor(np.ones((4, 3)), requires_grad=True), Tensor(np.zeros(4), requires_grad=True),
+                  Tensor(np.ones((1, 4)), requires_grad=True), Tensor(np.zeros(1), requires_grad=True)]
+        out = mean_log_sigmoid(mlp(x, params, "relu"), LOG_FLOOR)
+        assert out.op == "mean_log_sigmoid"
+        assert out._parents[0].op == "mlp"
+        assert out._parents[0]._parents == (x, *params)
+
+    def test_mlp_under_no_grad_keeps_no_graph(self):
+        params = [Tensor(np.ones((4, 3)), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)]
+        with no_grad():
+            out = mlp(Tensor(np.ones((2, 3))), params, "relu")
+        assert not out.requires_grad and out._backward is None
+
+    def test_mlp_rejects_wrong_input_width_and_activation(self):
+        params = [Tensor(np.ones((4, 3))), Tensor(np.zeros(4))]
+        with pytest.raises(DimensionError):
+            mlp(Tensor(np.ones((2, 5))), params, "relu")
+        with pytest.raises(ValueError):
+            mlp(Tensor(np.ones((2, 3))), params, "swish")
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
+    def test_non_finite_names_the_same_op_as_the_chain(self, kind):
+        # the first layer overflows to inf: both forms blame 'linear'
+        x = Tensor(np.full((2, 3), 1e300))
+        params = [Tensor(np.full((4, 3), 1e300)), Tensor(np.zeros(4)),
+                  Tensor(np.ones((1, 4))), Tensor(np.zeros(1))]
+        for net in (mlp, _unfused_mlp):
+            with pytest.raises(NonFiniteError) as exc:
+                net(x, params, kind)
+            assert exc.value.op == "linear"
+
+    def test_unchecked_skips_checks_and_warnings(self):
+        x = Tensor(np.full((2, 3), 1e300))
+        params = [Tensor(np.full((4, 3), 1e300)), Tensor(np.zeros(4))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with unchecked():
+                out = mlp(x, params, "relu")
+                inf_input = Tensor(np.full(2, np.inf))
+        assert not np.isfinite(out.data).all()
+        assert not np.isfinite(inf_input.data).all()
+        with pytest.raises(NonFiniteError) as exc:
+            mlp(x, params, "relu")
+        assert exc.value.op == "linear"

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycleadapt
 from cycleadapt.cli import main
 from cycleadapt.data import default_benchmark_pair, save_pair_csv
 from cycleadapt.trainer import read_metrics_csv
@@ -222,3 +227,71 @@ class TestGradcheckCommand:
 def test_version_flag(capsys):
     code = main(["--version"])
     assert code == 0
+
+
+def test_version_ignores_the_callers_repository(tmp_path):
+    # a foreign repository as the working directory must not leak its commit
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    (tmp_path / "f.txt").write_text("x\n")
+    subprocess.run(git + ["add", "f.txt"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "foreign"], cwd=tmp_path, check=True)
+    foreign = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=tmp_path, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+    src = Path(cycleadapt.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "cycleadapt.cli", "--version"], cwd=tmp_path, env=env,
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    assert out.startswith(cycleadapt.__version__)
+    assert foreign not in out
+
+
+def _with_value(path, line, column, text):
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[column] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestNonFiniteCsv:
+    def test_train_rejects_nan_with_file_and_line(self, tmp_path, dataset, capsys):
+        source, _ = dataset
+        _with_value(source, 5, 1, "nan")
+        code, out = run_train(tmp_path, dataset)
+        assert code == 2
+        assert f"{source}:5: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_rejects_inf_with_file_and_line(self, tmp_path, dataset, capsys):
+        code, out = run_train(tmp_path, dataset)
+        assert code == 0
+        capsys.readouterr()
+        _, target = dataset
+        _with_value(target, 9, 0, "-inf")
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--target", str(target)])
+        assert code == 2
+        assert f"{target}:9: non-finite value" in capsys.readouterr().err
+
+
+def test_wide_full_model_still_aborts_at_step_12_on_mul(tmp_path, capsys):
+    # the cycle term's gradient grows with the feature width; this run
+    # diverged at step 12 with op 'mul' before the step was fused and
+    # checked once, and must abort the same way after
+    data = tmp_path / "d"
+    assert main(["gen", "--kind", "gaussian", "--classes", "10", "--seed", "3",
+                 "--out", str(data)]) == 0
+    out = tmp_path / "r"
+    code = main(["train", "--source", str(data / "source.csv"),
+                 "--target", str(data / "target.csv"), "--feature-dim", "128",
+                 "--steps", "2000", "--seed", "1", "--out", str(out)])
+    assert code == 3
+    capsys.readouterr()
+    abort = json.loads((out / "abort.json").read_text())
+    assert abort["step"] == 12
+    assert "op 'mul'" in abort["error"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"

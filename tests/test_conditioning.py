@@ -54,6 +54,15 @@ class TestRandomized:
         out = randomized_condition(Tensor(f), Tensor(p), maps)
         assert out.data[0, 0] == pytest.approx(f.sum() * p.sum())
 
+    def test_maps_are_wrapped_once_and_reused(self):
+        maps = build_randomized_maps(4, 3, 8, seed=0)
+        assert np.shares_memory(maps.r_f_t.data, maps.r_f)
+        assert np.shares_memory(maps.r_p_t.data, maps.r_p)
+        f = Tensor(np.ones((2, 4)), requires_grad=True)
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        proj_f, proj_p = randomized_condition(f, p, maps)._parents[0]._parents
+        assert proj_f._parents[1] is maps.r_f_t and proj_p._parents[1] is maps.r_p_t
+
     def test_same_seed_reproduces_maps(self):
         a = build_randomized_maps(5, 3, 16, seed=9)
         b = build_randomized_maps(5, 3, 16, seed=9)

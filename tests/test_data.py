@@ -181,6 +181,21 @@ class TestCsv:
         with pytest.raises(CsvSchemaError, match="header"):
             load_pair_csv(sp, tp)
 
+    def test_non_finite_value_reports_line_after_blank_lines(self, tmp_path):
+        sp = tmp_path / "s.csv"
+        sp.write_text("f0,f1,label\n1.0,2.0,0\n\n1.0,inf,1\n")
+        tp = tmp_path / "t.csv"
+        save_domain_csv(tp, np.ones((2, 2)), None)
+        with pytest.raises(CsvSchemaError, match=r"s\.csv:4: non-finite value inf in column f1"):
+            load_pair_csv(sp, tp)
+
+    def test_huge_finite_values_whose_sum_overflows_load(self, tmp_path):
+        sp, tp = tmp_path / "s.csv", tmp_path / "t.csv"
+        x = np.full((3, 2), 1.5e308)
+        save_domain_csv(sp, x, np.array([0, 1, 0]))
+        save_domain_csv(tp, x, None)
+        np.testing.assert_array_equal(load_pair_csv(sp, tp).x_s, x)
+
     def test_empty_file_rejected(self, tmp_path):
         sp = tmp_path / "s.csv"
         sp.write_text("")

@@ -11,7 +11,6 @@ from cycleadapt.nn import (
     collect_params,
     init_linear,
     make_mlp,
-    sgd_step,
 )
 
 
@@ -193,12 +192,61 @@ class TestSgd:
         with pytest.raises(ValueError):
             Sgd([p], lr=-0.1)
 
-    def test_functional_form(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([1.0])
-        from cycleadapt.nn import SgdState
+    def test_non_finite_gradient_moves_no_parameter(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        opt = Sgd([a, b], lr=0.1, momentum=0.9)
+        a.grad = np.array([1.0, 1.0])
+        b.grad = np.array([np.nan])
+        with pytest.raises(NonFiniteError) as exc:
+            opt.step()
+        assert exc.value.op == "sgd_step"
+        assert "gradient of parameter 1" in str(exc.value)
+        np.testing.assert_array_equal(a.data, [1.0, 2.0])
+        np.testing.assert_array_equal(b.data, [3.0])
+        np.testing.assert_array_equal(opt.velocity, np.zeros(3))
 
-        state = SgdState(lr=0.1)
-        sgd_step([p], state)
-        assert p.data[0] == pytest.approx(0.9)
-        assert len(state.velocity) == 1
+    def test_parameters_are_views_of_one_flat_buffer(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.full(4, 2.0), requires_grad=True)
+        opt = Sgd([a, b], lr=0.5)
+        assert opt.flat.shape == (10,)
+        assert np.shares_memory(a.data, opt.flat) and np.shares_memory(b.data, opt.flat)
+        assert a.shape == (2, 3) and b.shape == (4,)
+        b.grad = np.ones(4)
+        opt.step()
+        np.testing.assert_array_equal(opt.flat, [1.0] * 6 + [1.5] * 4)
+
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        steps=st.lists(st.lists(st.booleans(), min_size=6, max_size=6), min_size=1, max_size=4),
+        momentum=st.sampled_from([0.0, 0.5, 0.9]),
+        weight_decay=st.sampled_from([0.0, 5e-4, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_flat_update_equals_per_parameter_rule_bitwise(
+        self, sizes, steps, momentum, weight_decay, seed
+    ):
+        # the per-parameter loop the flat buffer replaces, with its operand
+        # order: v = m*v + g + wd*p; p = p - lr*v; no gradient: v *= m
+        rng = np.random.default_rng(seed)
+        start = [rng.standard_normal(n) for n in sizes]
+        params = [Tensor(x.copy(), requires_grad=True) for x in start]
+        opt = Sgd(params, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        ref_p = [x.copy() for x in start]
+        ref_v = [np.zeros(n) for n in sizes]
+        for has_grad in steps:
+            for i, n in enumerate(sizes):
+                g = rng.standard_normal(n) if has_grad[i] else None
+                params[i].grad = g
+                if g is None:
+                    ref_v[i] *= momentum
+                    continue
+                ref_v[i] = momentum * ref_v[i] + g + weight_decay * ref_p[i]
+                ref_p[i] = ref_p[i] - 0.05 * ref_v[i]
+            opt.step()
+            for p, ref in zip(params, ref_p):
+                assert np.array_equal(p.data, ref)
+                assert p.grad is None
+            assert np.array_equal(opt.velocity, np.concatenate(ref_v))

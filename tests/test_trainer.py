@@ -95,6 +95,62 @@ class TestTrainBasics:
         assert exc.value.step == 3
         assert exc.value.last_breakdown is not None
 
+    def test_non_finite_gradient_with_finite_loss_moves_no_parameter(self, monkeypatch):
+        import cycleadapt.autodiff as autodiff
+        from cycleadapt.autodiff import Tensor
+        from cycleadapt.losses import resolve_weights
+        from cycleadapt.nn import Sgd
+        from cycleadapt.trainer import _grl_step
+
+        cfg = quick_cfg()
+        suite = build_suite(cfg.arch)
+        opt = Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
+        real_backward = autodiff.Tensor.backward
+
+        def poisoned_backward(self):
+            real_backward(self)
+            suite.s2t.layers[1].weight.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(autodiff.Tensor, "backward", poisoned_backward)
+        before = [p.data.copy() for p in suite.parameters()]
+        with pytest.raises(NonFiniteError) as exc:
+            _grl_step(
+                suite, opt, Tensor(PAIR.x_s[:16]), PAIR.y_s[:16], Tensor(PAIR.x_t[:16]),
+                resolve_weights("S3", cfg.weights), 0.5,
+            )
+        # the replayed forward is finite, so the optimizer's error stands
+        assert exc.value.op == "sgd_step"
+        for p, b in zip(suite.parameters(), before):
+            assert np.array_equal(p.data, b)
+        assert not opt.velocity.any()
+
+    def test_non_finite_gradient_aborts_training_at_its_step(self, monkeypatch):
+        import cycleadapt.autodiff as autodiff
+        import cycleadapt.trainer as trainer_mod
+
+        built = []
+        real_build = trainer_mod.build_suite
+
+        def capture(arch):
+            built.append(real_build(arch))
+            return built[-1]
+
+        monkeypatch.setattr(trainer_mod, "build_suite", capture)
+        calls = {"n": 0}
+        real_backward = autodiff.Tensor.backward
+
+        def poisoned_backward(self):
+            real_backward(self)
+            calls["n"] += 1
+            if calls["n"] == 4:
+                built[0].features.layers[0].weight.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(autodiff.Tensor, "backward", poisoned_backward)
+        with pytest.raises(TrainingAborted) as exc:
+            train(quick_cfg(), PAIR)
+        assert exc.value.step == 4
+        assert "sgd_step" in str(exc.value) and "parameter 0" in str(exc.value)
+
     def test_alternating_mode_runs_and_is_deterministic(self):
         a = train(quick_cfg(minimax_mode="alternating"), PAIR)
         b = train(quick_cfg(minimax_mode="alternating"), PAIR)
