@@ -12,43 +12,12 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from cycleadapt.data import default_benchmark_pair
-from cycleadapt.trainer import default_train_config, stability_spread, train
+from cycleadapt.trainer import ABLATION_MODES, ablation_run, default_train_config, stability_spread
 
-MODES = ("S0", "S1", "S2", "S3", "S4")
 FIXTURE_PATH = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "two_moons_ladder.json"
-
-
-def run_one(args):
-    mode, seed, data_seed = args
-    pair = default_benchmark_pair(seed=data_seed)
-    cfg = default_train_config(seed=seed, ablation_mode=mode)
-    result = train(cfg, pair)
-    history = result.history
-    final = history[-1]
-    return {
-        "mode": mode,
-        "seed": seed,
-        "target_acc": final.target_acc,
-        "source_acc": final.source_acc,
-        "d_d_mean_out": final.d_d_mean_out,
-        "l_cyc_50": next(r.l_cyc for r in history if r.step == 50),
-        "l_cyc_final": final.l_cyc,
-        "spread": stability_spread(history, cfg.total_steps),
-    }
-
-
-def run_ladder(seeds, data_seed: int, workers: int) -> dict:
-    jobs = [(m, s, data_seed) for m in MODES for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        rows = list(ex.map(run_one, jobs))
-    return {m: sorted((r for r in rows if r["mode"] == m), key=lambda r: r["seed"])
-            for m in MODES}
 
 
 def check_against_fixture(workers: int) -> int:
@@ -56,15 +25,16 @@ def check_against_fixture(workers: int) -> int:
     fixture = json.loads(FIXTURE_PATH.read_text())
     seeds = fixture["seeds"]
     t0 = time.time()
-    by_mode = run_ladder(seeds, fixture["benchmark"]["data_seed"], workers)
+    pair = default_benchmark_pair(seed=fixture["benchmark"]["data_seed"])
+    table = ablation_run(default_train_config(), pair, seeds, workers=workers)
     mismatches = 0
-    for mode in MODES:
-        got = [r["target_acc"] for r in by_mode[mode]]
+    for mode in ABLATION_MODES:
+        got = list(table[mode].accuracies)
         expected = fixture["mode_target_accs"][mode]
         same = got == expected
         mismatches += not same
         print(f"{mode}: {'match' if same else 'MISMATCH'}  got {got}  fixture {expected}")
-    runs = len(MODES) * len(seeds)
+    runs = len(ABLATION_MODES) * len(seeds)
     verdict = "all equal" if not mismatches else f"{mismatches} modes differ"
     print(f"checked {runs} runs against {FIXTURE_PATH.name}: {verdict} ({time.time() - t0:.0f}s)")
     return 1 if mismatches else 0
@@ -87,19 +57,21 @@ def main() -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
 
     t0 = time.time()
-    by_mode = run_ladder(seeds, args.data_seed, args.workers)
+    pair = default_benchmark_pair(seed=args.data_seed)
+    table = ablation_run(default_train_config(), pair, seeds, workers=args.workers)
 
     lines = ["mode,mean_target_acc,std_target_acc,n_seeds"]
-    for mode in MODES:
-        accs = [r["target_acc"] for r in by_mode[mode]]
-        print(f"{mode}: {np.mean(accs):.4f} +/- {np.std(accs):.4f}  {accs}")
-        lines.append(f"{mode},{np.mean(accs)!r},{np.std(accs)!r},{len(accs)}")
+    for mode, stats in table.items():
+        accs = list(stats.accuracies)
+        print(f"{mode}: {stats.mean:.4f} +/- {stats.std:.4f}  {accs}")
+        lines.append(f"{mode},{stats.mean!r},{stats.std!r},{len(accs)}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"table written to {args.out} ({time.time() - t0:.0f}s)")
 
     if args.fixture:
         cfg = default_train_config()
-        s3_first = by_mode["S3"][0]
+        history = table["S3"].histories[0]
+        final = history[-1]
         fixture = {
             "benchmark": {
                 "generator": "two-moons", "rotation_deg": 45.0, "noise_std": 0.1,
@@ -107,20 +79,15 @@ def main() -> int:
             },
             "seeds": seeds,
             "total_steps": cfg.total_steps,
-            "mode_mean_target_acc": {
-                m: round(float(np.mean([r["target_acc"] for r in by_mode[m]])), 6)
-                for m in MODES
-            },
-            "mode_target_accs": {
-                m: [r["target_acc"] for r in by_mode[m]] for m in MODES
-            },
+            "mode_mean_target_acc": {m: round(s.mean, 6) for m, s in table.items()},
+            "mode_target_accs": {m: list(s.accuracies) for m, s in table.items()},
             "default_run": {
-                "seed": s3_first["seed"],
-                "target_acc": s3_first["target_acc"],
-                "d_d_mean_out": round(s3_first["d_d_mean_out"], 6),
-                "l_cyc_step50": round(s3_first["l_cyc_50"], 6),
-                "l_cyc_final": round(s3_first["l_cyc_final"], 6),
-                "stability_spread": round(s3_first["spread"], 6),
+                "seed": seeds[0],
+                "target_acc": final.target_acc,
+                "d_d_mean_out": round(final.d_d_mean_out, 6),
+                "l_cyc_step50": round(next(r.l_cyc for r in history if r.step == 50), 6),
+                "l_cyc_final": round(final.l_cyc, 6),
+                "stability_spread": round(stability_spread(history, cfg.total_steps), 6),
             },
         }
         FIXTURE_PATH.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")

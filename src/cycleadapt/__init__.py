@@ -7,7 +7,7 @@ from .autodiff import Tensor, finite_diff_check, grad_reversal, no_grad
 from .conditioning import ConditioningPolicy, RandomizedMaps, condition
 from .data import DomainPair, ShiftSpec, gen_gaussian_shift_pair, gen_two_moons_pair
 from .losses import LossBreakdown, LossWeights, resolve_weights, total_loss
-from .models import ArchConfig, ModelSuite, build_suite, predict, translate
+from .models import ArchConfig, ModelSuite, build_suite, predict
 from .nn import LinearLayer, Mlp, Sgd, collect_params
 from .trainer import (
     MetricsRow,
@@ -42,7 +42,6 @@ __all__ = [
     "ModelSuite",
     "build_suite",
     "predict",
-    "translate",
     "LinearLayer",
     "Mlp",
     "Sgd",

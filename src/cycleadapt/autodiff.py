@@ -52,17 +52,16 @@ __all__ = [
     "matmul",
     "linear",
     "mlp",
+    "ACTIVATIONS",
     "activation",
     "relu",
     "tanh",
     "sigmoid",
     "exp",
-    "log",
     "clamp_min",
     "log_softmax",
     "log_sigmoid",
     "mean_log_sigmoid",
-    "outer_product",
     "row_outer",
     "gather_rows",
     "grad_reversal",
@@ -85,10 +84,16 @@ class NonFiniteError(FloatingPointError):
 
     def __init__(self, op: str, detail: str = ""):
         self.op = op
+        self.detail = detail
         msg = f"non-finite value produced by op '{op}'"
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not the message, so the
+        # error crosses a process boundary intact
+        return (type(self), (self.op, self.detail))
 
 
 _GRAD_ENABLED = True
@@ -387,13 +392,13 @@ def sigmoid(x: Tensor) -> Tensor:
     return _result(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
+ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    if kind not in _ACTIVATIONS:
+    if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")
-    return _ACTIVATIONS[kind](x)
+    return ACTIVATIONS[kind](x)
 
 
 def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
@@ -409,7 +414,7 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     output; under ``no_grad`` nothing is kept and relu works in place.
     """
     x = as_tensor(x)
-    if kind not in _ACTIVATIONS:
+    if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")
     weights, biases = params[0::2], params[1::2]
     if x.data.ndim != 2 or x.shape[1] != weights[0].shape[1]:
@@ -465,14 +470,6 @@ def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         e = np.exp(x.data)
     return _result(e, "exp", (x,), lambda g: (g * e,))
-
-
-def log(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-    xd = x.data
-    return _result(out, "log", (x,), lambda g: (g / xd,))
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
@@ -535,21 +532,6 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
         return (gz * -1.0 if negate else gz,)
 
     return _node(out, "mean_log_sigmoid", (x,), backward)
-
-
-def outer_product(f: Tensor, p: Tensor) -> Tensor:
-    """Flattened outer product of two vectors: out[a*dp + b] = f[a]*p[b]."""
-    f, p = as_tensor(f), as_tensor(p)
-    if f.data.ndim != 1 or p.data.ndim != 1:
-        raise DimensionError(f"outer_product needs two vectors, got {f.shape} and {p.shape}")
-    fd, pd = f.data, p.data
-    out = np.outer(fd, pd).reshape(-1)
-
-    def bwd(g):
-        gm = g.reshape(fd.size, pd.size)
-        return gm @ pd, gm.T @ fd
-
-    return _result(out, "outer_product", (f, p), bwd)
 
 
 def row_outer(f: Tensor, p: Tensor) -> Tensor:

@@ -30,6 +30,8 @@ from .data import (
 )
 from .trainer import (
     ABLATION_MODES,
+    CHOICES,
+    FLAT_FIELDS,
     CheckpointError,
     TrainConfig,
     TrainingAborted,
@@ -46,6 +48,27 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ABORT = 3
+
+# the flags of train and ablate, each with the flat config key it sets;
+# the key's field gives the flag's type and choices
+_TRAIN_FLAGS = (
+    ("--seed", "seed"),
+    ("--feature-dim", "feature_dim"),
+    ("--lr", "lr"),
+    ("--momentum", "momentum"),
+    ("--weight-decay", "weight_decay"),
+    ("--batch-size", "batch_size"),
+    ("--steps", "total_steps"),
+    ("--eval-every", "eval_every"),
+    ("--lambda", "lambda"),
+    ("--beta", "beta"),
+    ("--eta1", "eta1"),
+    ("--eta2", "eta2"),
+    ("--ablation", "ablation_mode"),
+    ("--grl-schedule", "grl_schedule"),
+    ("--lr-schedule", "lr_schedule"),
+)
+_ARG_TYPES = {"int": int, "float": float, "str": str}
 
 
 class CliError(Exception):
@@ -184,45 +207,22 @@ def _resolve_train_config(args: argparse.Namespace, data: DomainPair) -> TrainCo
             raise CliError(f"{args.config}: config must be a JSON object")
         flat.update(file_cfg)
     # flags override file values
-    for key in (
-        "feature_dim",
-        "lr",
-        "momentum",
-        "weight_decay",
-        "batch_size",
-        "total_steps",
-        "seed",
-        "eval_every",
-        "minimax_mode",
-        "grl_schedule",
-        "lr_schedule",
-    ):
-        val = getattr(args, key)
-        if val is not None:
-            flat[key] = val
-    if args.ablation is not None:
-        flat["ablation_mode"] = args.ablation
-    for flag, key in (
-        ("lam", "lambda"),
-        ("beta", "beta"),
-        ("eta1", "eta1"),
-        ("eta2", "eta2"),
-    ):
-        val = getattr(args, flag)
-        if val is not None:
-            flat[key] = val
+    flat.update(
+        {key: val for key, val in vars(args).items() if key in FLAT_FIELDS and val is not None}
+    )
     flat.setdefault("input_dim", data.input_dim)
     flat.setdefault("num_classes", data.num_classes)
-    if int(flat["input_dim"]) != data.input_dim or int(flat["num_classes"]) != data.num_classes:
-        raise CliError(
-            f"config dims (input_dim={flat['input_dim']}, num_classes="
-            f"{flat['num_classes']}) do not match the dataset "
-            f"({data.input_dim}, {data.num_classes})"
-        )
     try:
-        return config_from_flat(flat)
+        cfg = config_from_flat(flat)
     except ValueError as err:
         raise CliError(str(err))
+    if (cfg.arch.input_dim, cfg.arch.num_classes) != (data.input_dim, data.num_classes):
+        raise CliError(
+            f"config dims (input_dim={cfg.arch.input_dim}, num_classes="
+            f"{cfg.arch.num_classes}) do not match the dataset "
+            f"({data.input_dim}, {data.num_classes})"
+        )
+    return cfg
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -242,6 +242,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     try:
         result = train(cfg, data, metrics_path=metrics_path)
+        save_checkpoint(result.suite, cfg, ckpt_path, step=cfg.total_steps)
+        source_acc = evaluate(result.suite, data.x_s, data.y_s)
+        target_acc = (
+            evaluate(result.suite, data.x_t, data.y_t_eval)
+            if data.y_t_eval is not None
+            else None
+        )
     except TrainingAborted as err:
         dump_path = os.path.join(args.out, "abort.json")
         dump = {"error": str(err), "step": err.step}
@@ -257,14 +264,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         print(f"error: {err} (diagnostic at {dump_path})", file=sys.stderr)
         return EXIT_ABORT
-
-    save_checkpoint(result.suite, cfg, ckpt_path, step=cfg.total_steps)
-    source_acc = evaluate(result.suite, data.x_s, data.y_s)
-    target_acc = (
-        evaluate(result.suite, data.x_t, data.y_t_eval)
-        if data.y_t_eval is not None
-        else None
-    )
+    except BaseException:
+        # any other failure, Ctrl-C included, still ends the manifest
+        _manifest(
+            manifest_path,
+            cfg,
+            outputs,
+            "failed",
+            {"started_at": started, "finished_at": _utcnow()},
+        )
+        raise
     _manifest(
         manifest_path,
         cfg,
@@ -424,25 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--source", required=True, help="source CSV (labeled)")
         p.add_argument("--target", required=True, help="target CSV")
         p.add_argument("--config", default=None, help="flat JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--feature-dim", type=int, default=None, dest="feature_dim")
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--momentum", type=float, default=None)
-        p.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-        p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-        p.add_argument("--steps", type=int, default=None, dest="total_steps")
-        p.add_argument("--eval-every", type=int, default=None, dest="eval_every")
-        p.add_argument("--lambda", type=float, default=None, dest="lam")
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--eta1", type=float, default=None)
-        p.add_argument("--eta2", type=float, default=None)
-        p.add_argument("--ablation", default=None, choices=list(ABLATION_MODES))
-        p.add_argument("--minimax-mode", default=None, choices=["grl", "alternating"],
-                       dest="minimax_mode")
-        p.add_argument("--grl-schedule", default=None, choices=["constant", "ramp"],
-                       dest="grl_schedule")
-        p.add_argument("--lr-schedule", default=None, choices=["constant", "inv_decay"],
-                       dest="lr_schedule")
+        for flag, key in _TRAIN_FLAGS:
+            p.add_argument(flag, dest=key, type=_ARG_TYPES[FLAT_FIELDS[key][2]],
+                           choices=CHOICES.get(key))
 
     p_train = sub.add_parser("train", help="train on a CSV pair")
     add_train_flags(p_train)

@@ -15,8 +15,6 @@ from .autodiff import DimensionError, Tensor, detach, mul, row_outer
 
 DEFAULT_THRESHOLD = 4096
 DEFAULT_RANDOMIZED_DIM = 1024
-# hard guard against accidentally materializing giant exact products
-DEFAULT_EXACT_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,6 @@ class ConditioningPolicy:
 
     threshold: int = DEFAULT_THRESHOLD
     randomized_dim: int = DEFAULT_RANDOMIZED_DIM
-    exact_cap: int = DEFAULT_EXACT_CAP
     detach_predictions: bool = False
 
 
@@ -83,9 +80,7 @@ def conditioned_width(dim_f: int, dim_p: int, policy: ConditioningPolicy) -> int
     return dim_f * dim_p
 
 
-def multilinear_condition(
-    f: Tensor, p: Tensor, cap: int = DEFAULT_EXACT_CAP
-) -> Tensor:
+def multilinear_condition(f: Tensor, p: Tensor) -> Tensor:
     """Row-wise flattened outer product of features and predictions.
 
     Callers are expected to pass probability rows for ``p``; the map itself
@@ -95,12 +90,6 @@ def multilinear_condition(
         raise DimensionError(
             f"multilinear_condition needs [batch, df] and [batch, dp], "
             f"got {f.shape} and {p.shape}"
-        )
-    width = f.shape[1] * p.shape[1]
-    if width > cap:
-        raise DimensionError(
-            f"exact conditioning width {width} exceeds cap {cap}; "
-            "use the randomized branch"
         )
     return row_outer(f, p)
 
@@ -141,4 +130,4 @@ def condition(
                 f"{policy.randomized_dim}"
             )
         return randomized_condition(f, p, maps)
-    return multilinear_condition(f, p, cap=policy.exact_cap)
+    return multilinear_condition(f, p)

@@ -35,7 +35,6 @@ from .autodiff import (
     mean_log_sigmoid,
     mlp,
     mul,
-    outer_product,
     row_outer,
 )
 from .conditioning import ConditioningPolicy, build_randomized_maps, condition
@@ -48,7 +47,7 @@ from .losses import (
     translation_loss_s2t,
     translation_loss_t2s,
 )
-from .models import ArchConfig, ModelSuite, build_suite, predict
+from .models import ArchConfig, ModelSuite, build_suite
 from .nn import collect_params
 
 
@@ -166,15 +165,6 @@ def _check_discriminator_head(seed: int, eps: float, tol: float) -> GradCheckRep
         return mean_log_sigmoid(x, LOG_FLOOR) + mean_log_sigmoid(x, LOG_FLOOR, negate=True)
 
     return finite_diff_check(fn, [x], eps, tol, ["x"])
-
-
-def _check_outer_product(seed: int, eps: float, tol: float) -> GradCheckReport:
-    rng = _rng(seed, 9)
-    f, p = _t(rng, 4), _t(rng, 3)
-    w = Tensor(rng.standard_normal(12))
-    return finite_diff_check(
-        lambda: mul(outer_product(f, p), w).sum(), [f, p], eps, tol, ["f", "p"]
-    )
 
 
 def _check_row_outer(seed: int, eps: float, tol: float) -> GradCheckReport:
@@ -398,7 +388,6 @@ COMPONENTS = {
     "exp": _check_exp,
     "clamp_min": _check_clamp_min,
     "discriminator_head": _check_discriminator_head,
-    "outer_product": _check_outer_product,
     "row_outer": _check_row_outer,
     "cross_entropy": _check_cross_entropy,
     "conditioning_exact": _check_conditioning_exact,

@@ -8,11 +8,11 @@ feature space onto itself so the round-trip composition is well typed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, exp
+from .autodiff import ACTIVATIONS, DimensionError, Tensor, exp
 from .conditioning import (
     ConditioningPolicy,
     RandomizedMaps,
@@ -32,6 +32,9 @@ NETWORK_ORDER = (
     "source_disc",
     "target_disc",
 )
+
+# the widest exact conditioning a threshold may allow (4M columns)
+MAX_COND_THRESHOLD = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,16 @@ class ArchConfig:
         )
         if min(dims) < 1:
             raise ValueError(f"all dims must be >= 1, got {dims}")
+        if self.hidden_activation not in ACTIVATIONS:
+            raise ValueError(
+                f"hidden_activation must be one of {tuple(ACTIVATIONS)}, "
+                f"got {self.hidden_activation!r}"
+            )
+        if not 1 <= self.cond_threshold <= MAX_COND_THRESHOLD:
+            raise ValueError(
+                f"cond_threshold must be in [1, {MAX_COND_THRESHOLD}], "
+                f"got {self.cond_threshold}"
+            )
 
     def policy(self) -> ConditioningPolicy:
         return ConditioningPolicy(
@@ -73,13 +86,6 @@ class ArchConfig:
 
     def domain_disc_in_dim(self) -> int:
         return conditioned_width(self.feature_dim, self.num_classes, self.policy())
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -204,11 +210,3 @@ def predict(suite: ModelSuite, x: Tensor) -> tuple[Tensor, Tensor]:
     f = suite.features(x)
     p = exp(suite.predictor(f))
     return f, p
-
-
-def translate(suite: ModelSuite, f: Tensor, direction: str) -> Tensor:
-    if direction == "s2t":
-        return suite.s2t(f)
-    if direction == "t2s":
-        return suite.t2s(f)
-    raise ValueError(f"direction must be 's2t' or 't2s', got {direction!r}")

@@ -16,7 +16,6 @@ from .autodiff import (
     sigmoid,
 )
 
-INIT_SCHEMES = ("glorot_uniform", "he_uniform")
 OUTPUT_ACTIVATIONS = ("none", "sigmoid", "log_softmax")
 
 
@@ -119,17 +118,12 @@ def make_mlp(
     rng: np.random.Generator,
     hidden_activation: str = "relu",
     output_activation: str = "none",
-    scheme: str | None = None,
 ) -> Mlp:
-    """Build an MLP from a dim chain like (in, h1, ..., out).
-
-    When ``scheme`` is None it follows the activation: he_uniform for relu
-    nets, glorot_uniform otherwise.
-    """
+    """Build an MLP from a dim chain like (in, h1, ..., out), initialized
+    he_uniform for relu nets and glorot_uniform otherwise."""
     if len(dims) < 2:
         raise ValueError("make_mlp needs at least (in, out) dims")
-    if scheme is None:
-        scheme = "he_uniform" if hidden_activation == "relu" else "glorot_uniform"
+    scheme = "he_uniform" if hidden_activation == "relu" else "glorot_uniform"
     layers = [
         init_linear(i, o, scheme, rng) for i, o in zip(dims[:-1], dims[1:])
     ]
@@ -165,6 +159,16 @@ def _runs(grads: list) -> list[tuple[int, int, bool]]:
     return runs
 
 
+def check_sgd_hparams(lr: float, momentum: float, weight_decay: float) -> None:
+    """Raise ValueError unless lr >= 0, 0 <= momentum < 1 and weight_decay >= 0."""
+    if not lr >= 0.0:
+        raise ValueError(f"lr must be nonnegative, got {lr}")
+    if not (0.0 <= momentum < 1.0):
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+    if not weight_decay >= 0.0:
+        raise ValueError(f"weight_decay must be nonnegative, got {weight_decay}")
+
+
 class Sgd:
     """Mini-batch SGD: v <- m*v + grad + wd*param; param <- param - lr*v.
 
@@ -180,12 +184,7 @@ class Sgd:
 
     def __init__(self, params: Sequence[Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
-        if lr < 0.0:
-            raise ValueError("lr must be nonnegative")
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
+        check_sgd_hparams(lr, momentum, weight_decay)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay

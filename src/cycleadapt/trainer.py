@@ -5,29 +5,34 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, add, exp, mul, no_grad, sigmoid, unchecked
+from .autodiff import NonFiniteError, Tensor, no_grad, sigmoid, unchecked
 from .data import DomainPair
 from .losses import (
+    ABLATION_MODES,
     LossBreakdown,
     LossWeights,
-    adversarial_pair,
     resolve_weights,
     total_loss,
 )
 from .models import ArchConfig, ModelSuite, build_suite, predict
-from .nn import Sgd, collect_params
+from .nn import Sgd, check_sgd_hparams
 
-ABLATION_MODES = ("S0", "S1", "S2", "S3", "S4")
-MINIMAX_MODES = ("grl", "alternating")
 GRL_SCHEDULES = ("constant", "ramp")
 LR_SCHEDULES = ("constant", "inv_decay")
 
-CHECKPOINT_FORMAT_VERSION = 1
+# the values each string setting of TrainConfig may take
+CHOICES = {
+    "ablation_mode": ABLATION_MODES,
+    "grl_schedule": GRL_SCHEDULES,
+    "lr_schedule": LR_SCHEDULES,
+}
+
+CHECKPOINT_FORMAT_VERSION = 2
 
 METRICS_FIELDS = (
     "step",
@@ -52,6 +57,11 @@ class TrainingAborted(RuntimeError):
         self.last_breakdown = last_breakdown
         self.step = step
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the abort survives
+        # the trip back from a ladder worker process
+        return (type(self), (self.args[0], self.last_breakdown, self.step))
+
 
 class CheckpointError(ValueError):
     """Unreadable, truncated, or mismatched checkpoint file."""
@@ -68,22 +78,17 @@ class TrainConfig:
     total_steps: int = 15000
     seed: int = 0
     ablation_mode: str = "S3"
-    minimax_mode: str = "grl"
     eval_every: int = 50
     grl_schedule: str = "ramp"
     lr_schedule: str = "inv_decay"
 
     def __post_init__(self):
-        if self.ablation_mode not in ABLATION_MODES:
-            raise ValueError(f"ablation_mode must be one of {ABLATION_MODES}")
-        if self.minimax_mode not in MINIMAX_MODES:
-            raise ValueError(f"minimax_mode must be one of {MINIMAX_MODES}")
-        if self.grl_schedule not in GRL_SCHEDULES:
-            raise ValueError(f"grl_schedule must be one of {GRL_SCHEDULES}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         if self.batch_size < 1 or self.total_steps < 0 or self.eval_every < 1:
             raise ValueError("batch_size/eval_every must be >= 1 and total_steps >= 0")
+        check_sgd_hparams(self.lr, self.momentum, self.weight_decay)
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,6 @@ class TrainResult:
     source_batches_drawn: int = 0
     target_batches_drawn: int = 0
 
-    def __iter__(self):
-        # allows `suite, history = train(...)`
-        return iter((self.suite, self.history))
-
 
 def default_train_config(seed: int = 0, **overrides) -> TrainConfig:
     """Reference hyperparameters on the default two-moons benchmark arch."""
@@ -122,95 +123,75 @@ def default_train_config(seed: int = 0, **overrides) -> TrainConfig:
 # Flat config dict (the JSON/CLI surface)
 # ---------------------------------------------------------------------------
 
-_ARCH_KEYS = (
-    "input_dim",
-    "num_classes",
-    "feature_dim",
-    "feature_hidden",
-    "domain_disc_hidden",
-    "translator_hidden",
-    "sample_disc_hidden",
-    "hidden_activation",
-    "cond_threshold",
-    "cond_randomized_dim",
-    "detach_predictions",
-)
-_WEIGHT_KEYS = {"lambda": "lam", "beta": "beta", "eta1": "eta1", "eta2": "eta2"}
-_TRAIN_KEYS = (
-    "lr",
-    "momentum",
-    "weight_decay",
-    "batch_size",
-    "total_steps",
-    "seed",
-    "ablation_mode",
-    "minimax_mode",
-    "eval_every",
-    "grl_schedule",
-    "lr_schedule",
-)
 
+def _flat_fields() -> dict[str, tuple[str, str, str]]:
+    """flat key -> (part, field name, field type) for every config value.
 
-def flatten_config(cfg: TrainConfig) -> dict:
-    out: dict = {}
-    arch = cfg.arch.to_dict()
-    for k in _ARCH_KEYS:
-        out[k] = arch[k]
-    for json_key, attr in _WEIGHT_KEYS.items():
-        out[json_key] = getattr(cfg.weights, attr)
-    for k in _TRAIN_KEYS:
-        out[k] = getattr(cfg, k)
+    ``part`` is "arch", "weights" or "train" (TrainConfig itself). Keys are
+    the field names, except that ``lam`` is ``lambda`` and that
+    ``ArchConfig.seed`` has no key of its own: ``seed`` sets both seeds.
+    """
+    out = {f.name: ("arch", f.name, f.type) for f in fields(ArchConfig) if f.name != "seed"}
+    for f in fields(LossWeights):
+        out["lambda" if f.name == "lam" else f.name] = ("weights", f.name, f.type)
+    for f in fields(TrainConfig):
+        if f.name not in ("arch", "weights"):
+            out[f.name] = ("train", f.name, f.type)
     return out
 
 
+FLAT_FIELDS = _flat_fields()
+
+
+def _coerce(key: str, kind: str, value):
+    """``value`` as the field type ``kind``; ValueError naming ``key`` when
+    it is not one (a bool is no number, 32.7 is no int, "false" no bool)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int" and number and float(value).is_integer():
+        return int(value)
+    if kind == "float" and number:
+        return float(value)
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if kind == "str" and isinstance(value, str):
+        return value
+    raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
+def flatten_config(cfg: TrainConfig) -> dict:
+    parts = {"arch": cfg.arch, "weights": cfg.weights, "train": cfg}
+    return {key: getattr(parts[part], name) for key, (part, name, _) in FLAT_FIELDS.items()}
+
+
 def config_from_flat(flat: dict, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a TrainConfig from flat key/value pairs, rejecting unknown keys.
+    """Build a TrainConfig from flat key/value pairs, rejecting unknown keys
+    and values not of their field's type.
 
     Keys mirror the config field names; ``lambda`` maps to the
     domain-adversarial weight. ``seed`` also reseeds the architecture.
     """
-    known = set(_ARCH_KEYS) | set(_WEIGHT_KEYS) | set(_TRAIN_KEYS)
-    unknown = set(flat) - known
+    unknown = set(flat) - set(FLAT_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    values = {key: _coerce(key, FLAT_FIELDS[key][2], v) for key, v in flat.items()}
     if base is None:
-        if "input_dim" not in flat or "num_classes" not in flat:
+        if "input_dim" not in values or "num_classes" not in values:
             raise ValueError("config needs input_dim and num_classes")
         base = TrainConfig(
-            arch=ArchConfig(
-                input_dim=int(flat["input_dim"]), num_classes=int(flat["num_classes"])
-            )
+            arch=ArchConfig(input_dim=values["input_dim"], num_classes=values["num_classes"])
         )
-
-    arch_kwargs = {k: flat[k] for k in _ARCH_KEYS if k in flat}
-    for k in (
-        "input_dim",
-        "num_classes",
-        "feature_dim",
-        "feature_hidden",
-        "domain_disc_hidden",
-        "translator_hidden",
-        "sample_disc_hidden",
-        "cond_threshold",
-        "cond_randomized_dim",
-    ):
-        if k in arch_kwargs:
-            arch_kwargs[k] = int(arch_kwargs[k])
-    if "seed" in flat:
-        arch_kwargs["seed"] = int(flat["seed"])
-    arch = replace(base.arch, **arch_kwargs)
-    weights = replace(
-        base.weights,
-        **{attr: float(flat[jk]) for jk, attr in _WEIGHT_KEYS.items() if jk in flat},
+    kwargs: dict[str, dict] = {"arch": {}, "weights": {}, "train": {}}
+    for key, value in values.items():
+        part, name, _ = FLAT_FIELDS[key]
+        kwargs[part][name] = value
+    if "seed" in values:
+        kwargs["arch"]["seed"] = values["seed"]
+    return replace(
+        base,
+        arch=replace(base.arch, **kwargs["arch"]),
+        weights=replace(base.weights, **kwargs["weights"]),
+        **kwargs["train"],
     )
-    train_kwargs = {k: flat[k] for k in _TRAIN_KEYS if k in flat}
-    for k in ("batch_size", "total_steps", "seed", "eval_every"):
-        if k in train_kwargs:
-            train_kwargs[k] = int(train_kwargs[k])
-    for k in ("lr", "momentum", "weight_decay"):
-        if k in train_kwargs:
-            train_kwargs[k] = float(train_kwargs[k])
-    return replace(base, arch=arch, weights=weights, **train_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -314,77 +295,6 @@ def _lr_at(schedule: str, lr: float, progress: float) -> float:
         return lr
     q = (progress - _DECAY_START) / (1.0 - _DECAY_START)
     return lr / (1.0 + 10.0 * q) ** 0.75
-
-
-def _gen_disc_params(suite: ModelSuite) -> tuple[list[Tensor], list[Tensor]]:
-    gen = collect_params([suite.features, suite.predictor, suite.s2t, suite.t2s])
-    disc = collect_params([suite.domain_disc, suite.source_disc, suite.target_disc])
-    return gen, disc
-
-
-def _alternating_step(
-    suite: ModelSuite,
-    opt_gen: Sgd,
-    opt_disc: Sgd,
-    x_s: Tensor,
-    y_s: np.ndarray,
-    x_t: Tensor | None,
-    weights: LossWeights,
-) -> LossBreakdown:
-    """Two-phase update: discriminators ascend their log-likelihoods on
-    frozen features, then the feature/predictor/translator side descends
-    the plain objective (discriminator grads from that pass are dropped)."""
-    adv_terms: list[tuple[float, Tensor]] = []
-    if x_t is not None and (weights.lam > 0.0 or weights.eta1 > 0.0):
-        with no_grad():
-            f_s = suite.features(x_s)
-            f_t = suite.features(x_t)
-            frozen: dict[str, Tensor] = {"f_s": Tensor(f_s.data), "f_t": Tensor(f_t.data)}
-            if weights.lam > 0.0:
-                frozen["p_s"] = Tensor(exp(suite.predictor(f_s)).data)
-                frozen["p_t"] = Tensor(exp(suite.predictor(f_t)).data)
-            if weights.eta1 > 0.0:
-                frozen["fake_t"] = Tensor(suite.s2t(f_s).data)
-                frozen["fake_s"] = Tensor(suite.t2s(f_t).data)
-        if weights.lam > 0.0:
-            c_s = suite.condition(frozen["f_s"], frozen["p_s"])
-            c_t = suite.condition(frozen["f_t"], frozen["p_t"])
-            adv_terms.append(
-                (weights.lam, adversarial_pair(suite.domain_disc, c_s, c_t, 1.0, False))
-            )
-        if weights.eta1 > 0.0:
-            adv_terms.append(
-                (
-                    weights.eta1,
-                    adversarial_pair(
-                        suite.target_disc, frozen["f_t"], frozen["fake_t"], 1.0, False
-                    ),
-                )
-            )
-            adv_terms.append(
-                (
-                    weights.eta1,
-                    adversarial_pair(
-                        suite.source_disc, frozen["f_s"], frozen["fake_s"], 1.0, False
-                    ),
-                )
-            )
-    if adv_terms:
-        obj: Tensor | None = None
-        for w, term in adv_terms:
-            scaled = mul(term, w)
-            obj = scaled if obj is None else add(obj, scaled)
-        disc_loss = mul(obj, -1.0)
-        disc_loss.backward()
-        opt_disc.step()
-
-    total, breakdown = total_loss(
-        suite, (x_s, y_s), x_t, weights, grl_coeff=1.0, rig_minimax=False
-    )
-    total.backward()
-    opt_gen.step()
-    suite.zero_grads()
-    return breakdown
 
 
 def _grl_step(
@@ -492,14 +402,7 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
         else None
     )
 
-    if cfg.minimax_mode == "grl":
-        opts = [Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)]
-    else:
-        gen_params, disc_params = _gen_disc_params(suite)
-        opts = [
-            Sgd(gen_params, cfg.lr, cfg.momentum, cfg.weight_decay),
-            Sgd(disc_params, cfg.lr, cfg.momentum, cfg.weight_decay),
-        ]
+    opt = Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
 
     history: list[MetricsRow] = []
     writer = _MetricsWriter(metrics_path) if metrics_path is not None else None
@@ -507,9 +410,7 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
     try:
         for step in range(1, cfg.total_steps + 1):
             progress = step / cfg.total_steps
-            lr_now = _lr_at(cfg.lr_schedule, cfg.lr, progress)
-            for opt in opts:
-                opt.lr = lr_now
+            opt.lr = _lr_at(cfg.lr_schedule, cfg.lr, progress)
 
             idx_s = src_stream.next()
             x_s = Tensor(data.x_s[idx_s])
@@ -517,15 +418,10 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
             x_t = Tensor(data.x_t[tgt_stream.next()]) if tgt_stream is not None else None
 
             try:
-                if cfg.minimax_mode == "grl":
-                    breakdown = _grl_step(
-                        suite, opts[0], x_s, y_s, x_t, weights,
-                        _grl_coeff(cfg.grl_schedule, progress),
-                    )
-                else:
-                    breakdown = _alternating_step(
-                        suite, opts[0], opts[1], x_s, y_s, x_t, weights
-                    )
+                breakdown = _grl_step(
+                    suite, opt, x_s, y_s, x_t, weights,
+                    _grl_coeff(cfg.grl_schedule, progress),
+                )
             except NonFiniteError as err:
                 raise TrainingAborted(
                     f"aborted at step {step}: {err}", last_breakdown, step
@@ -571,8 +467,12 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
 
 @dataclass(frozen=True)
 class ModeStats:
+    """One ladder mode across seeds: each seed's final target accuracy and
+    metrics history, in seed order."""
+
     mode: str
     accuracies: tuple[float, ...]
+    histories: tuple[tuple[MetricsRow, ...], ...]
 
     @property
     def mean(self) -> float:
@@ -583,32 +483,59 @@ class ModeStats:
         return float(np.std(self.accuracies))
 
 
-def ablation_run(
-    base_cfg: TrainConfig, data: DomainPair, seeds: Sequence[int]
-) -> dict[str, ModeStats]:
-    """Final target accuracy per ladder mode, across seeds.
+def _ladder_run(
+    base_cfg: TrainConfig, data: DomainPair, mode: str, seed: int
+) -> tuple[float, tuple[MetricsRow, ...]]:
+    """One (mode, seed) run: its final target accuracy and metrics history."""
+    cfg = replace(base_cfg, seed=seed, arch=replace(base_cfg.arch, seed=seed), ablation_mode=mode)
+    result = train(cfg, data)
+    if result.history:
+        return result.history[-1].target_acc, tuple(result.history)
+    return evaluate(result.suite, data.x_t, data.y_t_eval), ()
 
-    Each (mode, seed) run reseeds both the architecture and the batch
-    stream, so the whole table is reproducible end to end.
+
+def ablation_run(
+    base_cfg: TrainConfig,
+    data: DomainPair,
+    seeds: Sequence[int],
+    workers: int = 1,
+    modes: Sequence[str] = ABLATION_MODES,
+) -> dict[str, ModeStats]:
+    """Train every (mode, seed) pair of the ladder; one ModeStats per mode.
+
+    ``modes`` picks a subset of ABLATION_MODES, returned in that order.
+    Each run reseeds both the architecture and the batch stream, so the
+    whole table is reproducible end to end. With ``workers == 1`` the runs
+    go one after another in this process; otherwise they are spread over
+    that many worker processes, with the same results.
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
+    unknown = set(modes) - set(ABLATION_MODES)
+    if unknown or not modes:
+        raise ValueError(f"ablation modes must be a nonempty subset of {ABLATION_MODES}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    modes = [m for m in ABLATION_MODES if m in modes]
+    seeds = [int(s) for s in seeds]
+    jobs = [(m, s) for m in modes for s in seeds]
+    args = ([base_cfg] * len(jobs), [data] * len(jobs), *zip(*jobs))
+    if workers == 1:
+        runs = list(map(_ladder_run, *args))
+    else:
+        # imported here, as only a pooled ladder needs them (they cost
+        # every other start about 20 ms); spawned, not forked, because the
+        # parent may already run BLAS threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(workers, len(jobs)), mp_context=context) as ex:
+            runs = list(ex.map(_ladder_run, *args))
     table: dict[str, ModeStats] = {}
-    for mode in ABLATION_MODES:
-        accs = []
-        for seed in seeds:
-            cfg = replace(
-                base_cfg,
-                seed=int(seed),
-                arch=replace(base_cfg.arch, seed=int(seed)),
-                ablation_mode=mode,
-            )
-            result = train(cfg, data)
-            if result.history:
-                accs.append(result.history[-1].target_acc)
-            else:
-                accs.append(evaluate(result.suite, data.x_t, data.y_t_eval))
-        table[mode] = ModeStats(mode=mode, accuracies=tuple(accs))
+    for i, mode in enumerate(modes):
+        accs, histories = zip(*runs[i * len(seeds) : (i + 1) * len(seeds)])
+        table[mode] = ModeStats(mode=mode, accuracies=accs, histories=histories)
     return table
 
 

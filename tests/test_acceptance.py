@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Criteria 5-8 share one ladder experiment (S0..S4 over five seeds on the
-default two-moons benchmark) run once per session in worker processes.
+default two-moons benchmark) run once per session in two worker processes.
 Expected accuracies live in tests/fixtures/two_moons_ladder.json, recorded
 from the first verified run; training is deterministic, so reruns should
 reproduce them exactly and the +/-3-point window only absorbs environment
@@ -10,7 +10,6 @@ drift.
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,8 @@ from cycleadapt.conditioning import (
 from cycleadapt.data import default_benchmark_pair
 from cycleadapt.gradcheck import COMPONENTS, run_components
 from cycleadapt.trainer import (
+    ABLATION_MODES,
+    ablation_run,
     default_train_config,
     save_checkpoint,
     stability_spread,
@@ -37,7 +38,6 @@ from cycleadapt.trainer import (
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "two_moons_ladder.json"
 FIXTURE = json.loads(FIXTURE_PATH.read_text())
 
-MODES = ("S0", "S1", "S2", "S3", "S4")
 SEEDS = tuple(FIXTURE["seeds"])
 DATA_SEED = FIXTURE["benchmark"]["data_seed"]
 
@@ -51,49 +51,26 @@ def _ok(criterion: str, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_one(args):
-    mode, seed = args
-    t0 = time.perf_counter()
-    pair = default_benchmark_pair(seed=DATA_SEED)
-    cfg = default_train_config(seed=seed, ablation_mode=mode)
-    result = train(cfg, pair)
-    history = result.history
-    final = history[-1]
-    return {
-        "mode": mode,
-        "seed": seed,
-        "target_acc": final.target_acc,
-        "source_acc": final.source_acc,
-        "d_d_mean_out": final.d_d_mean_out,
-        "l_cyc_final": final.l_cyc,
-        "l_cyc_50": next(r.l_cyc for r in history if r.step == 50),
-        "spread": stability_spread(history, cfg.total_steps),
-        "duration_s": time.perf_counter() - t0,
-    }
-
-
 @pytest.fixture(scope="session")
 def ladder():
-    """All (mode, seed) runs. The criterion-5 subset (S0, S1, S3) is timed
-    separately so its runtime budget can be asserted."""
-    subset_jobs = [(m, s) for m in ("S0", "S1", "S3") for s in SEEDS]
-    rest_jobs = [(m, s) for m in ("S2", "S4") for s in SEEDS]
+    """Mean target accuracy per mode, and the fixture's default S3 run.
+    The criterion-5 subset (S0, S1, S3) is timed separately so its runtime
+    budget can be asserted."""
+    base = default_train_config()
+    pair = default_benchmark_pair(seed=DATA_SEED)
     t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=2) as ex:
-        subset = list(ex.map(_run_one, subset_jobs))
+    table = ablation_run(base, pair, SEEDS, workers=2, modes=("S0", "S1", "S3"))
     subset_wall = time.perf_counter() - t0
-    with ProcessPoolExecutor(max_workers=2) as ex:
-        rest = list(ex.map(_run_one, rest_jobs))
-    runs = subset + rest
-    by_mode = {m: sorted((r for r in runs if r["mode"] == m), key=lambda r: r["seed"])
-               for m in MODES}
-    means = {m: float(np.mean([r["target_acc"] for r in by_mode[m]])) for m in MODES}
-    return {"by_mode": by_mode, "means": means, "subset_wall_s": subset_wall}
-
-
-def _default_run(ladder):
-    seed = FIXTURE["default_run"]["seed"]
-    return next(r for r in ladder["by_mode"]["S3"] if r["seed"] == seed)
+    table.update(ablation_run(base, pair, SEEDS, workers=2, modes=("S2", "S4")))
+    history = table["S3"].histories[SEEDS.index(FIXTURE["default_run"]["seed"])]
+    default_run = {
+        "d_d_mean_out": history[-1].d_d_mean_out,
+        "l_cyc_final": history[-1].l_cyc,
+        "l_cyc_50": next(r.l_cyc for r in history if r.step == 50),
+        "spread": stability_spread(history, base.total_steps),
+    }
+    means = {m: table[m].mean for m in ABLATION_MODES}
+    return {"means": means, "subset_wall_s": subset_wall, "default_run": default_run}
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +207,18 @@ def test_criterion_6_ladder_shape(ladder):
     assert means["S2"] >= means["S1"] - slack
     assert means["S1"] >= means["S0"] - slack
     assert means["S4"] < means["S3"]
-    for mode in MODES:
+    for mode in ABLATION_MODES:
         recorded = FIXTURE["mode_mean_target_acc"][mode]
         assert abs(means[mode] - recorded) <= 0.03, (
             f"{mode} mean {means[mode]:.4f} drifted from fixture {recorded:.4f}"
         )
     _ok("criterion 6", "ladder " + " ".join(
-        f"{m}={means[m]:.3f}" for m in MODES
+        f"{m}={means[m]:.3f}" for m in ABLATION_MODES
     ))
 
 
 def test_criterion_7_equilibrium_and_cycle(ladder):
-    run = _default_run(ladder)
+    run = ladder["default_run"]
     assert 0.3 <= run["d_d_mean_out"] <= 0.7, run["d_d_mean_out"]
     ratio = run["l_cyc_final"] / run["l_cyc_50"]
     assert ratio < 0.2, f"cycle ratio {ratio:.3f}"
@@ -250,7 +227,7 @@ def test_criterion_7_equilibrium_and_cycle(ladder):
 
 
 def test_criterion_8_stability(ladder):
-    run = _default_run(ladder)
+    run = ladder["default_run"]
     assert run["spread"] < 0.03, f"running-mean spread {run['spread']:.4f}"
     _ok("criterion 8", f"final-20% running-mean spread "
         f"{run['spread']*100:.2f} points < 3")

@@ -19,7 +19,6 @@ from cycleadapt.autodiff import (
     grad_reversal,
     linear,
     LOG_FLOOR,
-    log,
     log_sigmoid,
     log_softmax,
     matmul,
@@ -27,7 +26,6 @@ from cycleadapt.autodiff import (
     mlp,
     mul,
     no_grad,
-    outer_product,
     row_outer,
     sub,
     unchecked,
@@ -153,13 +151,17 @@ class TestLogSoftmax:
 
 
 class TestOuterProduct:
+    """The row-wise flattened outer product, one row at a time."""
+
+    @staticmethod
+    def outer(f, p):
+        return row_outer(Tensor(np.atleast_2d(f)), Tensor(np.atleast_2d(p))).data[0]
+
     def test_definition(self):
-        out = outer_product(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
-        np.testing.assert_array_equal(out.data, [3, 4, 6, 8])
+        np.testing.assert_array_equal(self.outer([1.0, 2.0], [3.0, 4.0]), [3, 4, 6, 8])
 
     def test_zero_features(self):
-        out = outer_product(Tensor([0.0, 0.0]), Tensor([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(out.data, np.zeros(6))
+        np.testing.assert_array_equal(self.outer([0.0, 0.0], [1.0, 2.0, 3.0]), np.zeros(6))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -167,16 +169,12 @@ class TestOuterProduct:
         rng = np.random.default_rng(seed)
         f, f2 = rng.standard_normal((2, 5))
         p, p2 = rng.standard_normal((2, 3))
-        lhs = float(
-            outer_product(Tensor(f), Tensor(p)).data
-            @ outer_product(Tensor(f2), Tensor(p2)).data
-        )
+        lhs = float(self.outer(f, p) @ self.outer(f2, p2))
         assert lhs == pytest.approx((f @ f2) * (p @ p2), rel=1e-12, abs=1e-12)
 
     def test_bilinearity_in_scale(self):
         f, p = np.array([1.0, -2.0]), np.array([0.5, 2.0, -1.0])
-        scaled = outer_product(Tensor(3.0 * f), Tensor(p)).data
-        np.testing.assert_allclose(scaled, 3.0 * outer_product(Tensor(f), Tensor(p)).data)
+        np.testing.assert_allclose(self.outer(3.0 * f, p), 3.0 * self.outer(f, p))
 
     def test_row_outer_matches_per_row(self):
         rng = np.random.default_rng(1)
@@ -277,11 +275,6 @@ class TestNanPolicy:
         with pytest.raises(NonFiniteError) as exc:
             exp(Tensor([1000.0]))
         assert exc.value.op == "exp"
-
-    def test_log_of_negative_names_the_op(self):
-        with pytest.raises(NonFiniteError) as exc:
-            log(Tensor([-1.0]))
-        assert exc.value.op == "log"
 
     def test_non_finite_input_rejected_at_construction(self):
         with pytest.raises(NonFiniteError):

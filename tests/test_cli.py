@@ -128,6 +128,72 @@ class TestTrain:
         assert code == 2
         capsys.readouterr()
 
+    def test_argparse_choices_are_the_module_constants(self):
+        from cycleadapt.cli import build_parser
+        from cycleadapt.trainer import ABLATION_MODES, GRL_SCHEDULES, LR_SCHEDULES
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for command in ("train", "ablate"):
+            actions = {a.dest: a for a in sub.choices[command]._actions}
+            assert actions["ablation_mode"].choices == ABLATION_MODES
+            assert actions["grl_schedule"].choices == GRL_SCHEDULES
+            assert actions["lr_schedule"].choices == LR_SCHEDULES
+            assert actions["lambda"].option_strings == ["--lambda"]
+            assert actions["total_steps"].option_strings == ["--steps"]
+
+
+class TestConfigValidatedBeforeWriting:
+    """A bad setting exits 2 naming it, before the output directory exists."""
+
+    def _config_file(self, tmp_path, doc):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_negative_lr(self, tmp_path, dataset, capsys):
+        code, out = run_train(tmp_path, dataset, "--lr", "-1")
+        assert code == 2
+        assert "lr must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_hidden_activation(self, tmp_path, dataset, capsys):
+        cfg = self._config_file(tmp_path, {"hidden_activation": "gelu"})
+        code, out = run_train(tmp_path, dataset, "--config", cfg)
+        assert code == 2
+        assert "hidden_activation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_batch_size(self, tmp_path, dataset, capsys):
+        source, target = dataset
+        cfg = self._config_file(tmp_path, {"batch_size": 32.7})
+        out = tmp_path / "run"
+        code = main(["train", "--source", str(source), "--target", str(target),
+                     "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "'batch_size' must be int, got 32.7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_for_a_bool(self, tmp_path, dataset, capsys):
+        cfg = self._config_file(tmp_path, {"detach_predictions": "false"})
+        code, out = run_train(tmp_path, dataset, "--config", cfg)
+        assert code == 2
+        assert "'detach_predictions' must be bool" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failure_after_the_manifest_marks_it_failed(self, tmp_path, dataset, capsys,
+                                                          monkeypatch):
+        def broken_train(cfg, data, metrics_path=None):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("cycleadapt.cli.train", broken_train)
+        code, out = run_train(tmp_path, dataset)
+        assert code == 2
+        assert "disk full" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "finished_at" in manifest
+
+
 class TestEval:
     def test_matches_final_logged_target_accuracy(self, tmp_path, dataset, capsys):
         code, out = run_train(tmp_path, dataset)
@@ -148,6 +214,24 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(bad), "--target", str(target)])
         assert code == 3
         capsys.readouterr()
+
+    def test_format_1_checkpoint_exits_3(self, tmp_path, dataset, capsys):
+        # a checkpoint written before format 2, whose config still carried
+        # the minimax_mode key
+        code, out = run_train(tmp_path, dataset)
+        assert code == 0
+        ckpt = out / "checkpoint.bin"
+        header, _, payload = ckpt.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        assert doc["format_version"] == 2 and "minimax_mode" not in doc["config"]
+        doc["format_version"] = 1
+        doc["config"]["minimax_mode"] = "grl"
+        ckpt.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
+        capsys.readouterr()
+        _, target = dataset
+        code = main(["eval", "--checkpoint", str(ckpt), "--target", str(target)])
+        assert code == 3
+        assert "format version 1 != 2" in capsys.readouterr().err
 
     def test_unlabeled_target_exits_2(self, tmp_path, dataset, capsys):
         code, out = run_train(tmp_path, dataset)
@@ -191,7 +275,8 @@ class TestAblate:
         def fake_ladder(base_cfg, data, seeds):
             accs = {"S0": (0.9, 0.9), "S1": (0.5, 0.5), "S2": (0.5, 0.5),
                     "S3": (0.4, 0.4), "S4": (0.3, 0.3)}
-            return {m: ModeStats(mode=m, accuracies=a) for m, a in accs.items()}
+            return {m: ModeStats(mode=m, accuracies=a, histories=((), ()))
+                    for m, a in accs.items()}
 
         monkeypatch.setattr("cycleadapt.cli.ablation_run", fake_ladder)
         source, target = dataset

@@ -32,12 +32,6 @@ class TestMultilinear:
         out = multilinear_condition(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))))
         assert out.shape == (3, 20)
 
-    def test_width_cap_guard(self):
-        with pytest.raises(DimensionError):
-            multilinear_condition(
-                Tensor(np.ones((1, 100))), Tensor(np.ones((1, 100))), cap=5000
-            )
-
 
 class TestRandomized:
     def test_zero_features_give_zero(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cycleadapt.autodiff import Tensor, no_grad
-from cycleadapt.models import ArchConfig, build_suite, predict, translate
+from cycleadapt.models import MAX_COND_THRESHOLD, ArchConfig, build_suite, predict
 from cycleadapt.nn import collect_params
 
 from conftest import SMALL_ARCH
@@ -115,18 +115,29 @@ class TestForwardPass:
 class TestTranslate:
     def test_shape_preserved(self, small_suite):
         f = Tensor(np.random.default_rng(1).standard_normal((6, SMALL_ARCH.feature_dim)))
-        for direction in ("s2t", "t2s"):
-            assert translate(small_suite, f, direction).shape == f.shape
+        for translator in (small_suite.s2t, small_suite.t2s):
+            assert translator(f).shape == f.shape
 
     def test_untrained_round_trip_differs_from_input(self, small_suite):
         f = Tensor(np.random.default_rng(2).standard_normal((5, SMALL_ARCH.feature_dim)))
-        back = translate(small_suite, translate(small_suite, f, "s2t"), "t2s")
+        back = small_suite.t2s(small_suite.s2t(f))
         assert float(np.abs(back.data - f.data).max()) > 1e-6
 
-    def test_unknown_direction(self, small_suite):
-        f = Tensor(np.zeros((1, SMALL_ARCH.feature_dim)))
-        with pytest.raises(ValueError):
-            translate(small_suite, f, "sideways")
+
+class TestArchConfig:
+    def test_cond_threshold_bounds(self):
+        # the threshold caps the exact conditioning width, so a huge exact
+        # product is refused when the config is made, not mid-training
+        for ok in (1, 4096, MAX_COND_THRESHOLD):
+            assert ArchConfig(input_dim=2, num_classes=2, cond_threshold=ok).cond_threshold == ok
+        assert MAX_COND_THRESHOLD == 1 << 22
+        for bad in (0, -1, MAX_COND_THRESHOLD + 1):
+            with pytest.raises(ValueError, match="cond_threshold"):
+                ArchConfig(input_dim=2, num_classes=2, cond_threshold=bad)
+
+    def test_unknown_hidden_activation_rejected(self):
+        with pytest.raises(ValueError, match="hidden_activation"):
+            ArchConfig(input_dim=2, num_classes=2, hidden_activation="gelu")
 
 
 def test_param_count_matches_closed_form(small_suite):

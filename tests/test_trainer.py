@@ -1,4 +1,5 @@
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 import cycleadapt.losses as losses_mod
 from cycleadapt.autodiff import NonFiniteError
 from cycleadapt.data import default_benchmark_pair, gen_two_moons_pair, ShiftSpec
+from cycleadapt.losses import LossBreakdown
 from cycleadapt.models import ArchConfig, build_suite
 from cycleadapt.trainer import (
+    ABLATION_MODES,
     BatchStream,
     CheckpointError,
     MetricsRow,
@@ -27,6 +30,8 @@ from cycleadapt.trainer import (
 )
 
 PAIR = default_benchmark_pair(seed=21, n_per_domain=96)
+# the step at which quick_cfg(lr=5, constant schedules) diverges in S3
+DIVERGENT_STEP = 3
 
 
 def quick_cfg(**overrides) -> TrainConfig:
@@ -151,11 +156,22 @@ class TestTrainBasics:
         assert exc.value.step == 4
         assert "sgd_step" in str(exc.value) and "parameter 0" in str(exc.value)
 
-    def test_alternating_mode_runs_and_is_deterministic(self):
-        a = train(quick_cfg(minimax_mode="alternating"), PAIR)
-        b = train(quick_cfg(minimax_mode="alternating"), PAIR)
-        assert a.history == b.history
-        assert len(a.history) == 3
+    def test_sgd_settings_rejected_when_the_config_is_made(self):
+        for bad in ({"lr": -1.0}, {"lr": float("nan")}, {"momentum": 1.0},
+                    {"weight_decay": -1e-4}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                quick_cfg(**bad)
+
+    def test_exceptions_survive_pickling(self):
+        breakdown = LossBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        err = pickle.loads(pickle.dumps(TrainingAborted("aborted at step 3", breakdown, 3)))
+        assert isinstance(err, TrainingAborted)
+        assert (str(err), err.step, err.last_breakdown) == ("aborted at step 3", 3, breakdown)
+        err = pickle.loads(pickle.dumps(TrainingAborted("m", None, 3)))
+        assert (err.last_breakdown, err.step) == (None, 3)
+        for original in (NonFiniteError("mul"), NonFiniteError("sgd_step", "gradient of parameter 2")):
+            err = pickle.loads(pickle.dumps(original))
+            assert (type(err), str(err), err.op) == (NonFiniteError, str(original), original.op)
 
 
 class TestBatchStream:
@@ -328,6 +344,33 @@ class TestFlatConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_flat({"input_dim": 2, "num_classes": 2, "learning_rate": 0.1})
 
+    def test_key_set(self):
+        assert set(flatten_config(default_train_config())) == {
+            "input_dim", "num_classes", "feature_dim", "feature_hidden",
+            "domain_disc_hidden", "translator_hidden", "sample_disc_hidden",
+            "hidden_activation", "cond_threshold", "cond_randomized_dim",
+            "detach_predictions", "lambda", "beta", "eta1", "eta2", "lr",
+            "momentum", "weight_decay", "batch_size", "total_steps", "seed",
+            "ablation_mode", "eval_every", "grl_schedule", "lr_schedule",
+        }
+
+    def test_values_coerced_by_field_type(self):
+        cfg = config_from_flat({"input_dim": 2.0, "num_classes": 2, "batch_size": 8.0,
+                                "lr": 1, "lambda": 0, "detach_predictions": True})
+        assert (cfg.arch.input_dim, cfg.batch_size) == (2, 8)
+        assert type(cfg.batch_size) is int and type(cfg.arch.input_dim) is int
+        assert type(cfg.lr) is float and type(cfg.weights.lam) is float
+        assert cfg.arch.detach_predictions is True
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 32.7), ("batch_size", True), ("batch_size", "32"),
+        ("lr", "0.1"), ("lr", None), ("detach_predictions", "false"),
+        ("detach_predictions", 0), ("hidden_activation", 1), ("seed", float("inf")),
+    ])
+    def test_values_of_the_wrong_type_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            config_from_flat({"input_dim": 2, "num_classes": 2, key: value})
+
     def test_seed_reseeds_arch(self):
         cfg = config_from_flat({"input_dim": 2, "num_classes": 2, "seed": 77})
         assert cfg.seed == 77 and cfg.arch.seed == 77
@@ -387,11 +430,35 @@ class TestAblationRun:
         with pytest.raises(ValueError):
             ablation_run(quick_cfg(), PAIR, seeds=[1])
 
+    def test_worker_processes_give_the_in_process_table(self):
+        cfg = quick_cfg(total_steps=30, eval_every=15)
+        serial = ablation_run(cfg, PAIR, [1, 2])
+        pooled = ablation_run(cfg, PAIR, [1, 2], workers=2)
+        assert serial == pooled
+        assert all(len(h) == 2 for stats in serial.values() for h in stats.histories)
+
+    def test_modes_subset_in_ladder_order(self):
+        cfg = quick_cfg(total_steps=15, eval_every=15)
+        table = ablation_run(cfg, PAIR, [1, 2], modes=("S3", "S0"))
+        assert list(table) == ["S0", "S3"]
+        assert table["S3"] == ablation_run(cfg, PAIR, [1, 2])["S3"]
+        for bad in (("S9",), ("S0", "s1"), ()):
+            with pytest.raises(ValueError):
+                ablation_run(cfg, PAIR, [1, 2], modes=bad)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_aborts_the_same_way_in_and_out_of_process(self, workers):
+        cfg = quick_cfg(lr=5.0, grl_schedule="constant", lr_schedule="constant")
+        with pytest.raises(TrainingAborted) as exc:
+            ablation_run(cfg, PAIR, [1, 2], workers=workers, modes=("S3",))
+        assert exc.value.step == DIVERGENT_STEP
+        assert "non-finite" in str(exc.value)
+
     def test_table_shape_and_determinism(self):
         cfg = quick_cfg(total_steps=30, eval_every=15)
         t1 = ablation_run(cfg, PAIR, seeds=[1, 2])
         t2 = ablation_run(cfg, PAIR, seeds=[1, 2])
-        assert list(t1) == ["S0", "S1", "S2", "S3", "S4"]
+        assert list(t1) == list(ABLATION_MODES) == ["S0", "S1", "S2", "S3", "S4"]
         for mode in t1:
             assert t1[mode].accuracies == t2[mode].accuracies
             assert len(t1[mode].accuracies) == 2
