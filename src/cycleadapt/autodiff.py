@@ -9,7 +9,14 @@ receives the sum of all path contributions.
 Deliberate constraints, chosen for debuggability at desk scale:
 
 * float64 everywhere; gradient checking needs the headroom
-* no implicit broadcasting except scalar-with-tensor
+* leading axes broadcast, trailing two are the op's: a matrix op reads
+  its operands' last two axes as [rows, columns] (a row op, such as
+  ``gather_rows``, its last axis as the rows), and any axes before those
+  are replica axes that it maps over, slice by slice, bit for bit as if
+  each slice were run alone. A leading axis of size K thus trains K
+  replicas in one pass; their shapes must agree, since there is no
+  broadcasting between operands except scalar-with-tensor. ``sum`` and
+  ``mean`` reduce every axis unless given ``axis``
 * any op that produces a non-finite value raises :class:`NonFiniteError`
   naming the op, so adversarial-training blowups surface immediately.
   Inside :func:`unchecked` these per-op checks are off; the training step
@@ -244,11 +251,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self):
-        return _sum(self)
+    def sum(self, axis=None):
+        return _sum(self, axis)
 
-    def mean(self):
-        return _mean(self)
+    def mean(self, axis=None):
+        return _mean(self, axis)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -340,12 +347,12 @@ def mul(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
+        raise DimensionError(f"matmul needs matrix operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _result(ad @ bd, "matmul", (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    return _result(ad @ bd, "matmul", (a, b), lambda g: (g @ bd.mT, ad.mT @ g))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -407,7 +414,8 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
 
     ``params`` is (weight_0, bias_0, weight_1, bias_1, ...); each layer is
     ``h @ weight.T + bias`` as in :func:`linear`, and the last one has no
-    activation. Values, gradients and the op a non-finite check names
+    activation. Replicas stack as x[K, n, in], weight[K, out, in] and
+    bias[K, out]. Values, gradients and the op a non-finite check names
     ('linear' or ``kind``) are bit-for-bit those of the unfused chain of
     ``linear`` and ``activation`` nodes. Only the layer inputs are kept for
     the backward pass, since each activation's derivative follows from its
@@ -417,19 +425,24 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")
     weights, biases = params[0::2], params[1::2]
-    if x.data.ndim != 2 or x.shape[1] != weights[0].shape[1]:
-        raise DimensionError(f"mlp expects x[n, {weights[0].shape[1]}], got {x.shape}")
+    w0 = weights[0].data
+    if x.data.ndim != w0.ndim or x.shape[-1] != w0.shape[-1]:
+        raise DimensionError(f"mlp expects x[..., n, {w0.shape[-1]}], got {x.shape}")
     parents = (x, *params)
     record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     ws = [w.data for w in weights]
+    if w0.ndim == 2:
+        bs = [b.data for b in biases]
+    else:
+        bs = [b.data[..., None, :] for b in biases]
     last = len(ws) - 1
     inputs: list[Array] = []
     h = x.data
     for i, w in enumerate(ws):
         if record:
             inputs.append(h)
-        h = h @ w.T
-        h += biases[i].data
+        h = h @ w.mT
+        h += bs[i]
         _check(h, "linear")
         if i == last:
             break
@@ -445,9 +458,9 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
         grads: list[Array | None] = [None] * len(parents)
         for i in range(last, -1, -1):
             if weights[i].requires_grad:
-                grads[2 * i + 1] = g.T @ inputs[i]
+                grads[2 * i + 1] = g.mT @ inputs[i]
             if biases[i].requires_grad:
-                grads[2 * i + 2] = g.sum(axis=0)
+                grads[2 * i + 2] = g.sum(axis=-2)
             if i == 0:
                 if x.requires_grad:
                     grads[0] = g @ ws[0]
@@ -480,16 +493,16 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    """Row-wise log softmax over a [batch, C] tensor, C >= 2, max-shifted."""
+    """Row-wise log softmax over a [..., batch, C] tensor, C >= 2, max-shifted."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError(f"log_softmax needs [batch, C], got {x.shape}")
-    if x.shape[1] < 2:
-        raise DimensionError(f"log_softmax needs C >= 2, got C={x.shape[1]}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    if x.data.ndim < 2:
+        raise DimensionError(f"log_softmax needs [..., batch, C], got {x.shape}")
+    if x.shape[-1] < 2:
+        raise DimensionError(f"log_softmax needs C >= 2, got C={x.shape[-1]}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     soft = np.exp(out)
-    return _result(out, "log_softmax", (x,), lambda g: (g - soft * g.sum(axis=1, keepdims=True),))
+    return _result(out, "log_softmax", (x,), lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
 
 
 def log_sigmoid(x: Tensor) -> Tensor:
@@ -502,8 +515,8 @@ def log_sigmoid(x: Tensor) -> Tensor:
 
 
 def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
-    """mean(clamp_min(log_sigmoid(z), floor)) for z = x, or z = -x when
-    ``negate``, as one graph node.
+    """mean(clamp_min(log_sigmoid(z), floor)) over the trailing two axes,
+    for z = x, or z = -x when ``negate``, as one graph node.
 
     With D = sigmoid(x) this is the floored E[log D], or E[log(1 - D)]
     when negated: one side of a discriminator's log-likelihood. Values,
@@ -512,6 +525,8 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
     """
     x = as_tensor(x)
     z = x.data
+    if z.ndim < 2:
+        raise DimensionError(f"mean_log_sigmoid needs [..., n, d], got {x.shape}")
     if negate:
         z = z * -1.0
         _check(z, "mul")
@@ -521,14 +536,14 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
     mask = ls > floor
     clamped = np.where(mask, ls, floor)
     _check(clamped, "clamp_min")
-    out = np.asarray(clamped.mean())
+    out = np.asarray(clamped.mean(axis=(-2, -1)))
     _check(out, "mean")
-    shape, n = z.shape, z.size
+    n = z.shape[-2] * z.shape[-1]
 
     def backward(g):
         # the sigmoid of z, as _sigmoid_stable computes it from the same e
         s = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        gz = np.full(shape, float(g) / n) * mask * (1.0 - s)
+        gz = (np.asarray(g) / n)[..., None, None] * mask * (1.0 - s)
         return (gz * -1.0 if negate else gz,)
 
     return _node(out, "mean_log_sigmoid", (x,), backward)
@@ -537,42 +552,44 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
 def row_outer(f: Tensor, p: Tensor) -> Tensor:
     """Row-wise flattened outer product: [n, df] x [n, dp] -> [n, df*dp]."""
     f, p = as_tensor(f), as_tensor(p)
-    if f.data.ndim != 2 or p.data.ndim != 2:
-        raise DimensionError(f"row_outer needs 2-d operands, got {f.shape} and {p.shape}")
-    if f.shape[0] != p.shape[0]:
+    if f.data.ndim < 2 or f.data.ndim != p.data.ndim:
+        raise DimensionError(f"row_outer needs matrix operands, got {f.shape} and {p.shape}")
+    if f.shape[:-1] != p.shape[:-1]:
         raise DimensionError(f"row_outer batch sizes disagree: {f.shape} vs {p.shape}")
     fd, pd = f.data, p.data
-    n, df = fd.shape
-    dp = pd.shape[1]
-    out = (fd[:, :, None] * pd[:, None, :]).reshape(n, df * dp)
+    rows, df, dp = fd.shape[:-1], fd.shape[-1], pd.shape[-1]
+    out = (fd[..., :, None] * pd[..., None, :]).reshape(*rows, df * dp)
 
     def bwd(g):
-        gm = g.reshape(n, df, dp)
-        return np.einsum("iab,ib->ia", gm, pd), np.einsum("iab,ia->ib", gm, fd)
+        gm = g.reshape(*rows, df, dp)
+        return np.einsum("...iab,...ib->...ia", gm, pd), np.einsum("...iab,...ia->...ib", gm, fd)
 
     return _result(out, "row_outer", (f, p), bwd)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
-    """out[i] = x[i, idx[i]] for a [n, C] tensor and integer labels."""
+    """out[..., i] = x[..., i, idx[..., i]] for a [..., n, C] tensor and
+    integer labels."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError(f"gather_rows needs [n, C], got {x.shape}")
+    if x.data.ndim < 2:
+        raise DimensionError(f"gather_rows needs [..., n, C], got {x.shape}")
     idx = np.asarray(idx)
-    if idx.ndim != 1 or idx.shape[0] != x.shape[0]:
-        raise DimensionError(f"gather_rows index shape {idx.shape} vs rows {x.shape[0]}")
+    if idx.shape != x.shape[:-1]:
+        raise DimensionError(f"gather_rows index shape {idx.shape} vs rows {x.shape[:-1]}")
     if not np.issubdtype(idx.dtype, np.integer):
         raise ValueError("gather_rows needs integer indices")
-    n, c = x.shape
+    shape, c = x.shape, x.shape[-1]
     if idx.min() < 0 or idx.max() >= c:
         raise ValueError(f"gather_rows index out of range [0, {c})")
-    rows = np.arange(n)
-    out = x.data[rows, idx]
+    # every row of every replica as one [rows, C] table
+    flat = idx.reshape(-1)
+    rows = np.arange(flat.size)
+    out = x.data.reshape(-1, c)[rows, flat].reshape(idx.shape)
 
     def bwd(g):
-        gx = np.zeros((n, c))
-        gx[rows, idx] = g
-        return (gx,)
+        gx = np.zeros((flat.size, c))
+        gx[rows, flat] = g.reshape(-1)
+        return (gx.reshape(shape),)
 
     return _result(out, "gather_rows", (x,), bwd)
 
@@ -590,18 +607,29 @@ def detach(x: Tensor) -> Tensor:
     return as_tensor(x).detach()
 
 
-def _sum(x: Tensor) -> Tensor:
+def _spread(g: Array, shape: tuple[int, ...], axis) -> Array:
+    """The gradient of a reduction over ``axis`` (all axes for None): g
+    repeated over the axes the reduction removed."""
+    if g.ndim == 0:
+        return np.full(shape, float(g))
+    out = np.empty(shape)
+    out[...] = np.expand_dims(g, axis)
+    return out
+
+
+def _sum(x: Tensor, axis=None) -> Tensor:
     x = as_tensor(x)
     shape = x.shape
-    return _result(np.asarray(x.data.sum()), "sum", (x,), lambda g: (np.full(shape, float(g)),))
+    out = np.asarray(x.data.sum(axis=axis))
+    return _result(out, "sum", (x,), lambda g: (_spread(g, shape, axis),))
 
 
-def _mean(x: Tensor) -> Tensor:
+def _mean(x: Tensor, axis=None) -> Tensor:
     x = as_tensor(x)
-    shape, n = x.shape, x.size
-    return _result(
-        np.asarray(x.data.mean()), "mean", (x,), lambda g: (np.full(shape, float(g) / n),)
-    )
+    shape = x.shape
+    out = np.asarray(x.data.mean(axis=axis))
+    n = x.size // max(out.size, 1)
+    return _result(out, "mean", (x,), lambda g: (_spread(g / n, shape, axis),))
 
 
 # ---------------------------------------------------------------------------

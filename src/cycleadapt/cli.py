@@ -40,6 +40,7 @@ from .trainer import (
     evaluate,
     flatten_config,
     load_checkpoint,
+    pin_blas_threads,
     save_checkpoint,
     train,
 )
@@ -468,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_blas_threads(1)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,6 +8,7 @@ inner products in expectation when the exact product would be too wide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -23,32 +24,33 @@ class RandomizedMaps:
 
     Entries are standard normal, drawn once at construction and never
     touched by the optimizer. (seed, dims) fully determine the matrices,
-    which is what checkpoints store.
+    which is what checkpoints store. :func:`stack_maps` stacks the maps of
+    K replicas along a leading axis, with one seed per replica.
     """
 
-    r_f: np.ndarray  # [d, dim_f]
-    r_p: np.ndarray  # [d, dim_p]
-    seed: int
+    r_f: np.ndarray  # [d, dim_f], or [K, d, dim_f] stacked
+    r_p: np.ndarray  # [d, dim_p], or [K, d, dim_p] stacked
+    seed: int | tuple[int, ...]
     # the transposed maps wrapped as constants once, so that a forward pass
     # does not rescan them for non-finite values
     r_f_t: Tensor = field(init=False, repr=False, compare=False)
     r_p_t: Tensor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "r_f_t", Tensor(self.r_f.T))
-        object.__setattr__(self, "r_p_t", Tensor(self.r_p.T))
+        object.__setattr__(self, "r_f_t", Tensor(self.r_f.mT))
+        object.__setattr__(self, "r_p_t", Tensor(self.r_p.mT))
 
     @property
     def out_dim(self) -> int:
-        return self.r_f.shape[0]
+        return self.r_f.shape[-2]
 
     @property
     def dim_f(self) -> int:
-        return self.r_f.shape[1]
+        return self.r_f.shape[-1]
 
     @property
     def dim_p(self) -> int:
-        return self.r_p.shape[1]
+        return self.r_p.shape[-1]
 
 
 def build_randomized_maps(dim_f: int, dim_p: int, d: int, seed: int) -> RandomizedMaps:
@@ -58,6 +60,15 @@ def build_randomized_maps(dim_f: int, dim_p: int, d: int, seed: int) -> Randomiz
     r_f = rng.standard_normal((d, dim_f))
     r_p = rng.standard_normal((d, dim_p))
     return RandomizedMaps(r_f=r_f, r_p=r_p, seed=seed)
+
+
+def stack_maps(maps: Sequence[RandomizedMaps]) -> RandomizedMaps:
+    """The maps of K replicas as one RandomizedMaps with a leading axis."""
+    return RandomizedMaps(
+        r_f=np.stack([m.r_f for m in maps]),
+        r_p=np.stack([m.r_p for m in maps]),
+        seed=tuple(m.seed for m in maps),
+    )
 
 
 @dataclass(frozen=True)
@@ -86,9 +97,9 @@ def multilinear_condition(f: Tensor, p: Tensor) -> Tensor:
     Callers are expected to pass probability rows for ``p``; the map itself
     is bilinear in both arguments and gradients flow into each.
     """
-    if f.data.ndim != 2 or p.data.ndim != 2:
+    if f.data.ndim < 2 or p.data.ndim < 2:
         raise DimensionError(
-            f"multilinear_condition needs [batch, df] and [batch, dp], "
+            f"multilinear_condition needs [..., batch, df] and [..., batch, dp], "
             f"got {f.shape} and {p.shape}"
         )
     return row_outer(f, p)
@@ -96,14 +107,14 @@ def multilinear_condition(f: Tensor, p: Tensor) -> Tensor:
 
 def randomized_condition(f: Tensor, p: Tensor, maps: RandomizedMaps) -> Tensor:
     """(1/sqrt(d)) * (f R_f^T) elementwise* (p R_p^T), row by row."""
-    if f.data.ndim != 2 or p.data.ndim != 2:
+    if f.data.ndim < 2 or p.data.ndim < 2:
         raise DimensionError(
-            f"randomized_condition needs 2-d inputs, got {f.shape} and {p.shape}"
+            f"randomized_condition needs matrix inputs, got {f.shape} and {p.shape}"
         )
-    if f.shape[1] != maps.dim_f or p.shape[1] != maps.dim_p:
+    if f.shape[-1] != maps.dim_f or p.shape[-1] != maps.dim_p:
         raise DimensionError(
             f"map dims ({maps.dim_f}, {maps.dim_p}) do not match "
-            f"inputs ({f.shape[1]}, {p.shape[1]})"
+            f"inputs ({f.shape[-1]}, {p.shape[-1]})"
         )
     proj_f = f @ maps.r_f_t
     proj_p = p @ maps.r_p_t
@@ -119,7 +130,7 @@ def condition(
     """Apply the policy's branch to a batch of (feature, prediction) rows."""
     if policy.detach_predictions:
         p = detach(p)
-    if uses_randomized(f.shape[1], p.shape[1], policy):
+    if uses_randomized(f.shape[-1], p.shape[-1], policy):
         if maps is None:
             raise ValueError(
                 "randomized conditioning selected but no RandomizedMaps supplied"

@@ -95,7 +95,7 @@ def resolve_weights(mode: str, w: LossWeights) -> LossWeights:
 def cross_entropy(log_probs: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-probability of the true class."""
     picked = gather_rows(log_probs, np.asarray(labels))
-    return mul(picked.mean(), -1.0)
+    return mul(picked.mean(axis=-1), -1.0)
 
 
 def _rigged_logits(disc: Mlp, x: Tensor, grl_coeff: float, rig: bool) -> Tensor:
@@ -178,8 +178,8 @@ def translation_loss_t2s(
 
 
 def _mean_row_sq_norm(d: Tensor) -> Tensor:
-    n = d.shape[0]
-    return mul(mul(d, d).sum(), 1.0 / n)
+    n = d.shape[-2]
+    return mul(mul(d, d).sum(axis=(-2, -1)), 1.0 / n)
 
 
 def cycle_loss(suite: ModelSuite, f_s: Tensor, f_t: Tensor) -> Tensor:
@@ -205,13 +205,17 @@ def total_loss(
     weights: LossWeights,
     grl_coeff: float = 1.0,
     rig_minimax: bool = True,
-) -> tuple[Tensor, LossBreakdown]:
+) -> tuple[Tensor, LossBreakdown | list[LossBreakdown]]:
     """One optimization scalar for the whole model, plus its breakdown.
 
     total = l_con + eta1*(l_s2t + l_t2s) + eta2*l_cyc, with
     l_con = l_cls + lam*l_dom. Terms whose weight is zero are skipped
     entirely (reported as 0.0), so a classification-only configuration
     never routes target data through the graph.
+
+    Batches stacked along a leading replica axis (x[K, n, in], labels
+    [K, n]) for a stacked suite give one total per replica, a [K] tensor,
+    and a list of K breakdowns.
     """
     x_s, y_s = batch_s
     f_s = suite.features(x_s)
@@ -248,16 +252,9 @@ def total_loss(
         l_cyc = cycle_loss(suite, f_s, f_t)
         total = add(total, mul(l_cyc, weights.eta2))
 
-    def val(t: Tensor | None) -> float:
-        return 0.0 if t is None else t.item()
-
-    breakdown = LossBreakdown(
-        l_cls=l_cls.item(),
-        l_dom=val(l_dom),
-        l_con=l_con.item(),
-        l_s2t=val(l_s2t),
-        l_t2s=val(l_t2s),
-        l_cyc=val(l_cyc),
-        l_total=total.item(),
-    )
-    return total, breakdown
+    terms = (l_cls, l_dom, l_con, l_s2t, l_t2s, l_cyc, total)
+    if total.data.ndim == 0:
+        return total, LossBreakdown(*(0.0 if t is None else t.item() for t in terms))
+    skipped = [0.0] * total.shape[0]
+    columns = [skipped if t is None else t.data.tolist() for t in terms]
+    return total, [LossBreakdown(*row) for row in zip(*columns)]

@@ -8,7 +8,8 @@ feature space onto itself so the round-trip composition is well typed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -19,9 +20,10 @@ from .conditioning import (
     build_randomized_maps,
     condition,
     conditioned_width,
+    stack_maps,
     uses_randomized,
 )
-from .nn import Mlp, make_mlp
+from .nn import LinearLayer, Mlp, make_mlp
 
 NETWORK_ORDER = (
     "features",
@@ -99,6 +101,8 @@ class ModelSuite:
     target_disc: Mlp
     maps: RandomizedMaps | None
     arch: ArchConfig
+    # a stacked suite's per-seed suites (see build_suite); empty otherwise
+    replicas: tuple["ModelSuite", ...] = ()
 
     def networks(self) -> dict[str, Mlp]:
         return {name: getattr(self, name) for name in NETWORK_ORDER}
@@ -120,13 +124,31 @@ class ModelSuite:
     def condition(self, f: Tensor, p: Tensor) -> Tensor:
         return condition(f, p, self.arch.policy(), self.maps)
 
+    def replica_views(self) -> tuple["ModelSuite", ...]:
+        """The per-seed suites of a stacked suite, each parameter pointed
+        at its replica's slice of the stacked one; a plain suite is its own
+        single view. An optimizer rebinds the parameters it owns, so take
+        the views after building it."""
+        if not self.replicas:
+            return (self,)
+        params = self.parameters()
+        for k, member in enumerate(self.replicas):
+            for stacked, p in zip(params, member.parameters()):
+                p.data = stacked.data[k]
+        return self.replicas
 
-def build_suite(cfg: ArchConfig) -> ModelSuite:
+
+def build_suite(cfg: ArchConfig, seeds: Sequence[int] | None = None) -> ModelSuite:
     """Initialize all seven networks deterministically from cfg.seed.
 
     Each network gets its own spawned RNG stream, so changing one width
-    leaves the other networks' draws untouched.
+    leaves the other networks' draws untouched. With ``seeds``, the suites
+    of ``cfg`` under each seed are drawn as usual and stacked: every
+    parameter and randomized map gains a leading replica axis, and
+    ``replicas`` keeps the per-seed suites (see ``replica_views``).
     """
+    if seeds is not None:
+        return _stack_suites([build_suite(replace(cfg, seed=s)) for s in seeds], cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(NETWORK_ORDER) + 1)
     rngs = {
         name: np.random.default_rng(s) for name, s in zip(NETWORK_ORDER, streams)
@@ -195,6 +217,23 @@ def build_suite(cfg: ArchConfig) -> ModelSuite:
             cfg.feature_dim, cfg.num_classes, cfg.cond_randomized_dim, maps_seed
         )
     return suite
+
+
+def _stack_suites(members: list[ModelSuite], cfg: ArchConfig) -> ModelSuite:
+    def stack(arrays) -> Tensor:
+        return Tensor(np.stack(arrays), requires_grad=True)
+
+    nets = {}
+    for name in NETWORK_ORDER:
+        per_seed = [getattr(m, name) for m in members]
+        layers = [
+            LinearLayer(stack([l.weight.data for l in ls]), stack([l.bias.data for l in ls]))
+            for ls in zip(*(net.layers for net in per_seed))
+        ]
+        first = per_seed[0]
+        nets[name] = Mlp(layers, first.hidden_activation, first.output_activation)
+    maps = None if members[0].maps is None else stack_maps([m.maps for m in members])
+    return ModelSuite(**nets, maps=maps, arch=cfg, replicas=tuple(members))
 
 
 def predict(suite: ModelSuite, x: Tensor) -> tuple[Tensor, Tensor]:

@@ -21,16 +21,16 @@ OUTPUT_ACTIVATIONS = ("none", "sigmoid", "log_softmax")
 
 @dataclass
 class LinearLayer:
-    weight: Tensor  # [out_dim, in_dim]
-    bias: Tensor  # [out_dim]
+    weight: Tensor  # [out_dim, in_dim], or [K, out_dim, in_dim] for K replicas
+    bias: Tensor  # [out_dim], or [K, out_dim]
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
 
 def init_linear(

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -297,6 +301,16 @@ def _lr_at(schedule: str, lr: float, progress: float) -> float:
     return lr / (1.0 + 10.0 * q) ** 0.75
 
 
+class _ReplicaFailed(Exception):
+    """Replica ``index`` of a stacked step went non-finite; ``error`` is
+    what replaying it alone raised."""
+
+    def __init__(self, index: int, error: NonFiniteError):
+        super().__init__(index, error)
+        self.index = index
+        self.error = error
+
+
 def _grl_step(
     suite: ModelSuite,
     opt: Sgd,
@@ -305,34 +319,58 @@ def _grl_step(
     x_t: Tensor | None,
     weights: LossWeights,
     grl_coeff: float,
-) -> LossBreakdown:
-    """One descent step on the rigged objective.
+) -> list[LossBreakdown]:
+    """One descent step on the rigged objective; one breakdown per replica.
 
-    Forward and backward run without per-op finiteness checks; the loss is
-    checked here and the flat gradient inside ``opt.step``, once each,
-    before any parameter moves. If either is non-finite the step's forward
-    is replayed with checks on, so the error names the op that went
-    non-finite first, as a fully checked step would; a replay that passes
-    leaves the optimizer's ``sgd_step`` error.
+    A stacked suite takes batches with a leading replica axis. Its K
+    replica losses are summed for one backward pass: the sum passes each
+    replica a gradient of exactly 1.0, so each gets its own gradient.
+
+    Forward and backward run without per-op finiteness checks; the losses
+    are checked here and the flat gradient inside ``opt.step``, once each,
+    before any parameter moves. If either is non-finite, the step's
+    forward is replayed with checks on (and numpy's warnings off), so the
+    error names the op that went non-finite first, as a fully checked step
+    would; a replay that passes leaves the optimizer's ``sgd_step`` error.
+    A stacked step replays its first replica whose loss or gradient is
+    non-finite alone, on its per-seed view, and raises ``_ReplicaFailed``.
     """
-
-    def forward():
-        return total_loss(suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True)
-
     with unchecked():
-        total, breakdown = forward()
-        finite = math.isfinite(breakdown.l_total)
-        if finite:
-            total.backward()
+        total, breakdown = total_loss(
+            suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True
+        )
+        breakdowns = breakdown if isinstance(breakdown, list) else [breakdown]
+        (total.sum() if total.data.ndim else total).backward()
     try:
-        if not finite:
+        if not all(math.isfinite(b.l_total) for b in breakdowns):
             raise NonFiniteError("total_loss")
         opt.step()
-    except NonFiniteError:
-        with no_grad():
-            forward()
-        raise
-    return breakdown
+    except NonFiniteError as err:
+        if not suite.replicas:
+            _replay(suite, x_s, y_s, x_t, weights, grl_coeff)
+            raise
+        params = suite.parameters()
+        for k, b in enumerate(breakdowns):
+            bad = [i for i, p in enumerate(params)
+                   if p.grad is not None and not np.isfinite(p.grad[k]).all()]
+            if bad or not math.isfinite(b.l_total):
+                break
+        view = suite.replica_views()[k]
+        try:
+            _replay(view, Tensor(x_s.data[k]), y_s[k],
+                    None if x_t is None else Tensor(x_t.data[k]), weights, grl_coeff)
+        except NonFiniteError as replayed:
+            raise _ReplicaFailed(k, replayed) from err
+        if bad:
+            err = NonFiniteError("sgd_step", f"gradient of parameter {bad[0]}")
+        raise _ReplicaFailed(k, err) from err
+    return breakdowns
+
+
+def _replay(suite, x_s, y_s, x_t, weights, grl_coeff) -> None:
+    """The forward of a failed step with the per-op checks on, quietly."""
+    with no_grad(), np.errstate(all="ignore"):
+        total_loss(suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True)
 
 
 class _MetricsWriter:
@@ -372,7 +410,22 @@ def read_metrics_csv(path) -> list[MetricsRow]:
     return rows
 
 
-def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
+def _streams(cfg: TrainConfig, data: DomainPair, need_target: bool):
+    """The source and (if needed) target batch streams of one run."""
+    ss_source, ss_target = np.random.SeedSequence(cfg.seed).spawn(2)
+    src = BatchStream(len(data.x_s), cfg.batch_size, np.random.default_rng(ss_source))
+    if not need_target:
+        return src, None
+    return src, BatchStream(len(data.x_t), cfg.batch_size, np.random.default_rng(ss_target))
+
+
+def train(
+    cfg: TrainConfig,
+    data: DomainPair,
+    metrics_path=None,
+    *,
+    seeds: Sequence[int] | None = None,
+) -> TrainResult | list[TrainResult]:
     """Run ``cfg.total_steps`` optimization steps and log metrics.
 
     Deterministic for fixed (cfg, data): model init derives from
@@ -380,6 +433,16 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
     Loss terms disabled by the ablation mode are never built, so a
     classification-only run never draws target batches. A non-finite loss
     aborts with the last complete breakdown attached.
+
+    With ``seeds``, ``cfg`` is trained once per seed (each setting both
+    ``seed`` and ``arch.seed``) as one replica group: a stacked suite, one
+    optimizer and one backward pass per step for all of them, while each
+    replica keeps its own batch streams and metrics. The result is one
+    TrainResult per seed, in order, bit-for-bit that of training the seed
+    alone; its suite is a per-seed view into the group's parameters. A
+    group aborts at the first step at which any replica goes non-finite,
+    and the message names that replica's seed. ``metrics_path`` is for a
+    single run only.
     """
     if data.num_classes != cfg.arch.num_classes:
         raise ValueError(
@@ -388,76 +451,94 @@ def train(cfg: TrainConfig, data: DomainPair, metrics_path=None) -> TrainResult:
     if data.input_dim != cfg.arch.input_dim:
         raise ValueError(f"data width {data.input_dim} but arch expects {cfg.arch.input_dim}")
 
-    suite = build_suite(cfg.arch)
+    if seeds is None:
+        cfgs = [cfg]
+        suite = build_suite(cfg.arch)
+    else:
+        if not seeds or metrics_path is not None:
+            raise ValueError("a replica group needs seeds and takes no metrics_path")
+        cfgs = [replace(cfg, seed=int(s), arch=replace(cfg.arch, seed=int(s))) for s in seeds]
+        suite = build_suite(cfg.arch, [c.seed for c in cfgs])
     weights = resolve_weights(cfg.ablation_mode, cfg.weights)
     need_target = weights.lam > 0.0 or weights.eta1 > 0.0 or weights.eta2 > 0.0
+    streams = [_streams(c, data, need_target) for c in cfgs]
 
-    ss_source, ss_target = np.random.SeedSequence(cfg.seed).spawn(2)
-    src_stream = BatchStream(
-        len(data.x_s), cfg.batch_size, np.random.default_rng(ss_source)
-    )
-    tgt_stream = (
-        BatchStream(len(data.x_t), cfg.batch_size, np.random.default_rng(ss_target))
-        if need_target
-        else None
-    )
+    def batch(rows: list[np.ndarray]) -> np.ndarray:
+        # row indices [n], or [K, n] with one row of indices per replica
+        return rows[0] if seeds is None else np.stack(rows)
 
     opt = Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
+    views = suite.replica_views()  # after Sgd, which rebinds the parameters
 
-    history: list[MetricsRow] = []
+    histories: list[list[MetricsRow]] = [[] for _ in views]
     writer = _MetricsWriter(metrics_path) if metrics_path is not None else None
-    last_breakdown: LossBreakdown | None = None
+    last: list[LossBreakdown | None] = [None] * len(views)
     try:
         for step in range(1, cfg.total_steps + 1):
             progress = step / cfg.total_steps
             opt.lr = _lr_at(cfg.lr_schedule, cfg.lr, progress)
 
-            idx_s = src_stream.next()
+            idx_s = batch([src.next() for src, _ in streams])
             x_s = Tensor(data.x_s[idx_s])
             y_s = data.y_s[idx_s]
-            x_t = Tensor(data.x_t[tgt_stream.next()]) if tgt_stream is not None else None
+            x_t = (
+                Tensor(data.x_t[batch([tgt.next() for _, tgt in streams])])
+                if need_target
+                else None
+            )
 
             try:
-                breakdown = _grl_step(
+                breakdowns = _grl_step(
                     suite, opt, x_s, y_s, x_t, weights,
                     _grl_coeff(cfg.grl_schedule, progress),
                 )
             except NonFiniteError as err:
                 raise TrainingAborted(
-                    f"aborted at step {step}: {err}", last_breakdown, step
+                    f"aborted at step {step}: {err}", last[0], step
                 ) from err
-            last_breakdown = breakdown
+            except _ReplicaFailed as failed:
+                k = failed.index
+                raise TrainingAborted(
+                    f"aborted at step {step} (seed {cfgs[k].seed}): {failed.error}",
+                    last[k], step,
+                ) from failed.error
+            last = breakdowns
 
             if step % cfg.eval_every == 0 or step == cfg.total_steps:
-                row = MetricsRow(
-                    step=step,
-                    l_cls=breakdown.l_cls,
-                    l_dom=breakdown.l_dom,
-                    l_s2t=breakdown.l_s2t,
-                    l_t2s=breakdown.l_t2s,
-                    l_cyc=breakdown.l_cyc,
-                    l_total=breakdown.l_total,
-                    source_acc=evaluate(suite, data.x_s, data.y_s),
-                    target_acc=(
-                        evaluate(suite, data.x_t, data.y_t_eval)
-                        if data.y_t_eval is not None
-                        else float("nan")
-                    ),
-                    d_d_mean_out=domain_disc_mean_out(suite, data),
-                )
-                history.append(row)
-                if writer is not None:
-                    writer.write(row)
+                for view, breakdown, history in zip(views, breakdowns, histories):
+                    row = MetricsRow(
+                        step=step,
+                        l_cls=breakdown.l_cls,
+                        l_dom=breakdown.l_dom,
+                        l_s2t=breakdown.l_s2t,
+                        l_t2s=breakdown.l_t2s,
+                        l_cyc=breakdown.l_cyc,
+                        l_total=breakdown.l_total,
+                        source_acc=evaluate(view, data.x_s, data.y_s),
+                        target_acc=(
+                            evaluate(view, data.x_t, data.y_t_eval)
+                            if data.y_t_eval is not None
+                            else float("nan")
+                        ),
+                        d_d_mean_out=domain_disc_mean_out(view, data),
+                    )
+                    history.append(row)
+                    if writer is not None:
+                        writer.write(row)
     finally:
         if writer is not None:
             writer.close()
 
-    return TrainResult(
-        suite,
-        history,
-        source_batches_drawn=src_stream.draws,
-        target_batches_drawn=tgt_stream.draws if tgt_stream is not None else 0,
-    )
+    results = [
+        TrainResult(
+            view,
+            history,
+            source_batches_drawn=src.draws,
+            target_batches_drawn=tgt.draws if tgt is not None else 0,
+        )
+        for view, history, (src, tgt) in zip(views, histories, streams)
+    ]
+    return results[0] if seeds is None else results
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +564,74 @@ class ModeStats:
         return float(np.std(self.accuracies))
 
 
-def _ladder_run(
-    base_cfg: TrainConfig, data: DomainPair, mode: str, seed: int
-) -> tuple[float, tuple[MetricsRow, ...]]:
-    """One (mode, seed) run: its final target accuracy and metrics history."""
-    cfg = replace(base_cfg, seed=seed, arch=replace(base_cfg.arch, seed=seed), ablation_mode=mode)
-    result = train(cfg, data)
-    if result.history:
-        return result.history[-1].target_acc, tuple(result.history)
-    return evaluate(result.suite, data.x_t, data.y_t_eval), ()
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None."""
+    libs = glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*.so"
+    ))
+    try:
+        return ctypes.CDLL(libs[0]) if libs else None
+    except OSError:
+        return None
+
+
+def pin_blas_threads(n: int = 1) -> None:
+    """Set the thread count of numpy's bundled OpenBLAS; silently nothing
+    where it does not export ``scipy_openblas_set_num_threads64_``.
+
+    The package's own entry points (the CLI and the ladder's worker
+    processes) pin one thread: their gemms are small, and on a shared
+    2-vCPU machine a second thread made in-training evaluation about ten
+    times slower. A library caller of ``train`` keeps its own setting.
+    """
+    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(int(n))
+
+
+def _init_worker() -> None:
+    """Start a ladder worker: one BLAS thread, and a heap that glibc keeps
+    instead of trimming it (silently skipped without ``mallopt``).
+
+    A replica group's step frees a few MB of graph and gradients at once
+    at five replicas, and by default glibc then returns the heap's top to
+    the system, which the next step faults back in: about 600 page faults
+    a step, 17% of its time on a 2-vCPU x86-64 machine. Like the BLAS pin, only the package's own
+    processes set this; a library caller keeps its own allocator settings.
+    """
+    pin_blas_threads(1)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+def _worker_pool(workers: int):
+    """Spawned worker processes, each started by ``_init_worker``."""
+    # imported here, as only a pooled ladder needs them (they cost every
+    # other start about 20 ms); spawned, not forked, because the parent
+    # may already run BLAS threads
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    return ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker)
+
+
+def _ladder_group(
+    base_cfg: TrainConfig, data: DomainPair, mode: str, seeds: Sequence[int]
+) -> list[tuple[float, tuple[MetricsRow, ...]]]:
+    """One mode over all seeds as one replica group: each seed's final
+    target accuracy and metrics history."""
+    out = []
+    for result in train(replace(base_cfg, ablation_mode=mode), data, seeds=seeds):
+        if result.history:
+            out.append((result.history[-1].target_acc, tuple(result.history)))
+        else:
+            out.append((evaluate(result.suite, data.x_t, data.y_t_eval), ()))
+    return out
 
 
 def ablation_run(
@@ -505,9 +645,10 @@ def ablation_run(
 
     ``modes`` picks a subset of ABLATION_MODES, returned in that order.
     Each run reseeds both the architecture and the batch stream, so the
-    whole table is reproducible end to end. With ``workers == 1`` the runs
-    go one after another in this process; otherwise they are spread over
-    that many worker processes, with the same results.
+    whole table is reproducible end to end. Each mode trains all seeds as
+    one replica group (see ``train``). With ``workers == 1`` the groups go
+    one after another in this process; otherwise each group is one job
+    for a pool of that many worker processes, with the same results.
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
@@ -518,25 +659,20 @@ def ablation_run(
         raise ValueError(f"workers must be >= 1, got {workers}")
     modes = [m for m in ABLATION_MODES if m in modes]
     seeds = [int(s) for s in seeds]
-    jobs = [(m, s) for m in modes for s in seeds]
-    args = ([base_cfg] * len(jobs), [data] * len(jobs), *zip(*jobs))
+    # pooled, the later modes go first: they build more loss terms and take
+    # longer, so the workers finish closer together
+    order = modes if workers == 1 else modes[::-1]
+    args = ([base_cfg] * len(order), [data] * len(order), order, [seeds] * len(order))
     if workers == 1:
-        runs = list(map(_ladder_run, *args))
+        groups = list(map(_ladder_group, *args))
     else:
-        # imported here, as only a pooled ladder needs them (they cost
-        # every other start about 20 ms); spawned, not forked, because the
-        # parent may already run BLAS threads
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(min(workers, len(jobs)), mp_context=context) as ex:
-            runs = list(ex.map(_ladder_run, *args))
-    table: dict[str, ModeStats] = {}
-    for i, mode in enumerate(modes):
-        accs, histories = zip(*runs[i * len(seeds) : (i + 1) * len(seeds)])
-        table[mode] = ModeStats(mode=mode, accuracies=accs, histories=histories)
-    return table
+        with _worker_pool(min(workers, len(order))) as ex:
+            groups = list(ex.map(_ladder_group, *args))
+    table = {
+        mode: ModeStats(mode, *(tuple(column) for column in zip(*group)))
+        for mode, group in zip(order, groups)
+    }
+    return {mode: table[mode] for mode in modes}
 
 
 # ---------------------------------------------------------------------------

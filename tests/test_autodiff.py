@@ -485,3 +485,110 @@ class TestFusedOps:
         with pytest.raises(NonFiniteError) as exc:
             mlp(x, params, "relu")
         assert exc.value.op == "linear"
+
+
+def _stacked_equals_slices(op, arrays, rng, ints=None):
+    """``op`` on arrays with a leading replica axis equals ``op`` on each
+    slice alone, bit for bit: the output and every input gradient.
+
+    ``op(tensors, labels)`` builds the output; ``ints`` is an optional
+    integer array with the same leading axis, passed as ``labels``."""
+    stacked = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(stacked, ints)
+    w = rng.standard_normal(out.shape)
+    mul(out, Tensor(w)).sum().backward()
+    for k in range(arrays[0].shape[0]):
+        alone = [Tensor(a[k].copy(), requires_grad=True) for a in arrays]
+        out_k = op(alone, None if ints is None else ints[k])
+        _assert_bitwise(out.data[k], out_k.data, f"replica {k} forward")
+        mul(out_k, Tensor(w[k])).sum().backward()
+        for i, (s, a) in enumerate(zip(stacked, alone)):
+            _assert_bitwise(s.grad[k], a.grad, f"replica {k} gradient of input {i}")
+
+
+replicas = st.integers(1, 4)
+sizes = st.integers(1, 6)
+
+
+class TestReplicaAxis:
+    """Every op the loss uses maps over leading replica axes, bit for bit."""
+
+    @given(k=replicas, dims=st.lists(sizes, min_size=2, max_size=4), rows=sizes,
+           kind=st.sampled_from(["relu", "tanh", "sigmoid"]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_mlp(self, k, dims, rows, kind, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((k, rows, dims[0]))]
+        for i, o in zip(dims[:-1], dims[1:]):
+            arrays += [rng.standard_normal((k, o, i)), rng.standard_normal((k, o))]
+        _stacked_equals_slices(lambda t, _: mlp(t[0], t[1:], kind), arrays, rng)
+
+    @given(k=replicas, n=sizes, m=sizes, p=sizes, seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_matmul(self, k, n, m, p, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((k, n, m)), rng.standard_normal((k, m, p))]
+        _stacked_equals_slices(lambda t, _: matmul(t[0], t[1]), arrays, rng)
+
+    @given(k=replicas, n=sizes, c=st.integers(2, 6), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_log_softmax_gather_rows_and_mean(self, k, n, c, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, c, size=(k, n))
+
+        def cross_entropy(t, y):
+            return mul(gather_rows(log_softmax(t[0]), y).mean(axis=-1), -1.0)
+
+        arrays = [rng.standard_normal((k, n, c)) * 3.0]
+        _stacked_equals_slices(cross_entropy, arrays, rng, labels)
+        _stacked_equals_slices(lambda t, y: gather_rows(t[0], y), arrays, rng, labels)
+
+    @given(k=replicas, n=sizes, df=sizes, dp=sizes, seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_row_outer(self, k, n, df, dp, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((k, n, df)), rng.standard_normal((k, n, dp))]
+        _stacked_equals_slices(lambda t, _: row_outer(t[0], t[1]), arrays, rng)
+
+    @given(k=replicas, n=sizes, cols=st.integers(1, 3),
+           scale=st.sampled_from([0.1, 1.0, 60.0]), negate=st.booleans(),
+           coeff=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_mean_log_sigmoid_and_grad_reversal(self, k, n, cols, scale, negate, coeff, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((k, n, cols)) * scale]
+
+        def head(t, _):
+            return mean_log_sigmoid(grad_reversal(t[0], coeff), LOG_FLOOR, negate=negate)
+
+        _stacked_equals_slices(head, arrays, rng)
+
+    @given(k=replicas, n=sizes, d=sizes, seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_elementwise_exp_and_reductions(self, k, n, d, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((k, n, d)), rng.standard_normal((k, n, d))]
+
+        def chain(t, _):
+            a, b = t
+            mixed = add(mul(exp(a), b), sub(mul(a, 0.5), b))
+            return add(mul(mixed, mixed).sum(axis=(-2, -1)), mixed.mean(axis=(-2, -1)))
+
+        _stacked_equals_slices(chain, arrays, rng)
+
+    def test_trailing_reduction_of_a_matrix_is_the_full_one(self):
+        x = np.random.default_rng(1).standard_normal((7, 3))
+        assert Tensor(x).sum(axis=(-2, -1)).data == Tensor(x).sum().data
+        assert Tensor(x[:, 0]).mean(axis=-1).data == Tensor(x[:, 0]).mean().data
+
+    def test_leading_axes_must_agree(self):
+        with pytest.raises(DimensionError):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+        with pytest.raises(DimensionError):
+            row_outer(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 2))))
+        with pytest.raises(DimensionError):
+            gather_rows(Tensor(np.ones((2, 3, 4))), np.zeros((3, 2), dtype=int))
+        with pytest.raises(DimensionError):
+            mlp(Tensor(np.ones((3, 4))), [Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5)))], "relu")
+        with pytest.raises(DimensionError):
+            mean_log_sigmoid(Tensor(np.ones(3)), LOG_FLOOR)

@@ -156,3 +156,31 @@ def test_param_count_matches_closed_form(small_suite):
     )
     assert small_suite.param_count() == expected
     assert sum(p.size for p in collect_params(list(small_suite.networks().values()))) == expected
+
+
+class TestStackedSuite:
+    def test_stacks_ordinary_draws_and_views_follow_the_optimizer(self):
+        from dataclasses import replace
+
+        from cycleadapt.nn import Sgd
+
+        seeds = [4, 2]
+        stacked = build_suite(SMALL_ARCH, seeds)
+        alone = [build_suite(replace(SMALL_ARCH, seed=s)) for s in seeds]
+        for i, p in enumerate(stacked.parameters()):
+            assert p.shape == (2, *alone[0].parameters()[i].shape)
+            for k, suite in enumerate(alone):
+                assert np.array_equal(p.data[k], suite.parameters()[i].data)
+        opt = Sgd(stacked.parameters(), lr=0.1)
+        views = stacked.replica_views()
+        assert [v.arch.seed for v in views] == seeds
+        for p in stacked.parameters():
+            p.grad = np.ones(p.shape)
+        opt.step()
+        for k, view in enumerate(views):
+            for p, v in zip(stacked.parameters(), view.parameters()):
+                assert np.shares_memory(p.data, v.data)
+                assert np.array_equal(p.data[k], v.data)
+
+    def test_plain_suite_is_its_own_view(self, small_suite):
+        assert small_suite.replica_views() == (small_suite,)

@@ -1,5 +1,6 @@
 import json
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -463,3 +464,122 @@ class TestAblationRun:
             assert t1[mode].accuracies == t2[mode].accuracies
             assert len(t1[mode].accuracies) == 2
             assert 0.0 <= t1[mode].mean <= 1.0
+
+
+# feature_dim * num_classes = 10 > cond_threshold, so the randomized
+# conditioning maps of each seed are stacked too
+RANDOMIZED_ARCH = dict(feature_dim=5, cond_threshold=8, cond_randomized_dim=12)
+
+
+def _alone(cfg: TrainConfig, seed: int) -> TrainConfig:
+    return replace(cfg, seed=seed, arch=replace(cfg.arch, seed=seed))
+
+
+class TestReplicaGroup:
+    @pytest.mark.parametrize("arch", [{}, RANDOMIZED_ARCH], ids=["default", "randomized"])
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_group_equals_per_seed_runs_bitwise(self, mode, arch, tmp_path):
+        cfg = quick_cfg(total_steps=24, eval_every=8, ablation_mode=mode)
+        cfg = replace(cfg, arch=replace(cfg.arch, **arch))
+        seeds = [3, 1, 4]
+        group = train(cfg, PAIR, seeds=seeds)
+        assert len(group) == len(seeds)
+        for seed, got in zip(seeds, group):
+            alone = train(_alone(cfg, seed), PAIR)
+            assert got.history == alone.history
+            assert got.source_batches_drawn == alone.source_batches_drawn
+            assert got.target_batches_drawn == alone.target_batches_drawn
+            for a, b in zip(got.suite.parameters(), alone.suite.parameters()):
+                assert a.shape == b.shape and np.array_equal(a.data, b.data)
+            assert (got.suite.maps is None) == (not arch)
+            if arch:
+                assert np.array_equal(got.suite.maps.r_f, alone.suite.maps.r_f)
+            # the per-seed view runs the plain evaluation and checkpoint paths
+            paths = tmp_path / f"g{seed}.bin", tmp_path / f"a{seed}.bin"
+            save_checkpoint(got.suite, _alone(cfg, seed), paths[0], step=24)
+            save_checkpoint(alone.suite, _alone(cfg, seed), paths[1], step=24)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+            assert evaluate(got.suite, PAIR.x_t, PAIR.y_t_eval) == got.history[-1].target_acc
+
+    def test_group_of_one_and_zero_steps(self):
+        cfg = quick_cfg(total_steps=0)
+        (only,) = train(cfg, PAIR, seeds=[5])
+        fresh = build_suite(cfg.arch)
+        assert only.history == []
+        for a, b in zip(only.suite.parameters(), fresh.parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_group_takes_seeds_and_no_metrics_path(self, tmp_path):
+        with pytest.raises(ValueError, match="replica group"):
+            train(quick_cfg(), PAIR, seeds=[])
+        with pytest.raises(ValueError, match="replica group"):
+            train(quick_cfg(), PAIR, tmp_path / "m.csv", seeds=[1, 2])
+
+    def test_group_abort_names_the_seed_and_replay_names_the_op(self):
+        cfg = quick_cfg(lr=5.0, grl_schedule="constant", lr_schedule="constant")
+        with warnings.catch_warnings():
+            # the replay runs quietly: no numpy warning ahead of the abort
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingAborted) as alone:
+                train(_alone(cfg, 2), PAIR)
+            with pytest.raises(TrainingAborted) as group:
+                train(cfg, PAIR, seeds=[2, 1])
+        assert alone.value.step == group.value.step == DIVERGENT_STEP
+        assert str(alone.value) == (
+            f"aborted at step {DIVERGENT_STEP}: non-finite value produced by op 'mul'"
+        )
+        assert str(group.value) == (
+            f"aborted at step {DIVERGENT_STEP} (seed 2): non-finite value produced by op 'mul'"
+        )
+        assert group.value.last_breakdown == alone.value.last_breakdown
+
+    def test_group_abort_names_the_first_failing_replica(self, monkeypatch):
+        import cycleadapt.autodiff as autodiff
+        import cycleadapt.trainer as trainer_mod
+
+        built = []
+        real_build = trainer_mod.build_suite
+
+        def capture(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(trainer_mod, "build_suite", capture)
+        calls = {"n": 0}
+        real_backward = autodiff.Tensor.backward
+
+        def poisoned_backward(self):
+            real_backward(self)
+            calls["n"] += 1
+            if calls["n"] == 4:
+                # replica 1 only: the stacked gradient's second slice
+                built[0].s2t.layers[1].weight.grad[1, 0, 0] = np.nan
+
+        monkeypatch.setattr(autodiff.Tensor, "backward", poisoned_backward)
+        with pytest.raises(TrainingAborted) as exc:
+            train(quick_cfg(), PAIR, seeds=[7, 8, 9])
+        assert exc.value.step == 4
+        assert str(exc.value).startswith("aborted at step 4 (seed 8): ")
+        # s2t's second weight: features (6) + predictor (2) + domain_disc (6) + 2
+        assert "sgd_step" in str(exc.value) and "parameter 16" in str(exc.value)
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        from cycleadapt.trainer import _openblas, _worker_pool
+
+        lib = _openblas()
+        if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy's bundled OpenBLAS is not available here")
+        # a spawned worker reads its environment at start
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        with _worker_pool(1) as ex:
+            assert ex.submit(_blas_threads).result() == 1
+
+
+def _blas_threads() -> int:
+    import ctypes
+
+    from cycleadapt.trainer import _openblas
+
+    get = _openblas().scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
