@@ -4,19 +4,19 @@
     python scripts/bench.py BASE_DIR CHANGE_DIR [MORE_DIRS...] --labels parent,change \
         --out BENCH_1.json
 
-For each workload of the first checkout's BENCHMARK.json, runs every
-checkout's own ``benchmark/run.py`` with ``--trace 0`` for ``--pairs``
-rounds (round i uses seed i + 1 for every checkout, and the order of the
-checkouts rotates from round to round, so that a drift in machine speed
-falls on all of them alike), then with ``--trace 1`` ``--traces`` times,
-interleaved the same way. The file holds, per workload and checkout,
-every run's end-to-end metrics with their median and quartiles, the
-median of each per-layer metric, and, for every checkout after the
-first, its per-round wins over the first on each end-to-end metric and
-whether its median differs from the first's by more than the first's
-interquartile range. It also records the machine and the Python, numpy
-and OpenBLAS versions the runs reported. OPENBLAS_NUM_THREADS defaults
-to 1, as in run.py.
+For every workload of the first checkout's BENCHMARK.json, runs each
+checkout's own ``benchmark/run.py`` for the benchmark's ``run_seconds``
+with ``--trace 0`` for ``--pairs`` rounds (round i uses seed i + 1 for
+every checkout, and the order of the checkouts rotates from round to
+round, so that a drift in machine speed falls on all of them alike),
+then with ``--trace 1`` ``--traces`` times, interleaved the same way.
+The file holds, per workload and checkout, every run's end-to-end
+metrics with their median and quartiles, the median of each per-layer
+metric, and, for every checkout after the first, its per-round wins over
+the first on each end-to-end metric and whether its median differs from
+the first's by more than the first's interquartile range. It also
+records the machine and the Python, numpy and OpenBLAS versions the runs
+reported. OPENBLAS_NUM_THREADS defaults to 1, as in run.py.
 """
 
 from __future__ import annotations
@@ -82,10 +82,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkouts", nargs="+", help="checkout directories; the first is the base")
     parser.add_argument("--labels", help="comma-separated names, one per checkout")
-    parser.add_argument("--workloads", help="comma-separated subset of the workloads")
     parser.add_argument("--pairs", type=int, default=10, help="rounds with --trace 0")
     parser.add_argument("--traces", type=int, default=3, help="rounds with --trace 1")
-    parser.add_argument("--seconds", type=float, help="per run (default: run_seconds)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -98,15 +96,14 @@ def main(argv=None) -> int:
     with open(os.path.join(dirs[0], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        workloads = [w for w in workloads if w in args.workloads.split(",")]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     result = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "command": " ".join(["scripts/bench.py", *labels, f"--pairs {args.pairs}",
-                             f"--traces {args.traces}", f"--seconds {seconds:g}"]),
+                             f"--traces {args.traces}"]),
+        "run_seconds": seconds,
         "machine": {
             "system": platform.system(),
             "machine": platform.machine(),

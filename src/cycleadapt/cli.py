@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    pin_blas_threads(1)
+    pin_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

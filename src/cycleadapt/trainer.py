@@ -576,40 +576,28 @@ def _openblas():
         return None
 
 
-def pin_blas_threads(n: int = 1) -> None:
-    """Set the thread count of numpy's bundled OpenBLAS; silently nothing
-    where it does not export ``scipy_openblas_set_num_threads64_``.
+def pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS
+    is set; silently nothing where it does not export
+    ``scipy_openblas_set_num_threads64_``.
 
     The package's own entry points (the CLI and the ladder's worker
-    processes) pin one thread: their gemms are small, and on a shared
-    2-vCPU machine a second thread made in-training evaluation about ten
-    times slower. A library caller of ``train`` keeps its own setting.
+    processes) call this: at the default sizes their gemms are small, and
+    on a shared 2-vCPU machine a second thread made in-training evaluation
+    about ten times slower. Wide runs can gain from more threads, so a
+    thread count set in the environment is kept; a library caller of
+    ``train`` keeps its own setting.
     """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
     setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
     if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(int(n))
-
-
-def _init_worker() -> None:
-    """Start a ladder worker: one BLAS thread, and a heap that glibc keeps
-    instead of trimming it (silently skipped without ``mallopt``).
-
-    A replica group's step frees a few MB of graph and gradients at once
-    at five replicas, and by default glibc then returns the heap's top to
-    the system, which the next step faults back in: about 600 page faults
-    a step, 17% of its time on a 2-vCPU x86-64 machine. Like the BLAS pin, only the package's own
-    processes set this; a library caller keeps its own allocator settings.
-    """
-    pin_blas_threads(1)
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        setter(1)
 
 
 def _worker_pool(workers: int):
-    """Spawned worker processes, each started by ``_init_worker``."""
+    """Spawned worker processes, each started by ``pin_blas_threads``."""
     # imported here, as only a pooled ladder needs them (they cost every
     # other start about 20 ms); spawned, not forked, because the parent
     # may already run BLAS threads
@@ -617,7 +605,7 @@ def _worker_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("spawn")
-    return ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker)
+    return ProcessPoolExecutor(workers, mp_context=context, initializer=pin_blas_threads)
 
 
 def _ladder_group(
@@ -659,9 +647,9 @@ def ablation_run(
         raise ValueError(f"workers must be >= 1, got {workers}")
     modes = [m for m in ABLATION_MODES if m in modes]
     seeds = [int(s) for s in seeds]
-    # pooled, the later modes go first: they build more loss terms and take
-    # longer, so the workers finish closer together
-    order = modes if workers == 1 else modes[::-1]
+    # the later modes go first: they build more loss terms and take longer,
+    # so pooled workers finish closer together
+    order = modes[::-1]
     args = ([base_cfg] * len(order), [data] * len(order), order, [seeds] * len(order))
     if workers == 1:
         groups = list(map(_ladder_group, *args))

@@ -1,4 +1,5 @@
 import json
+import os
 import pickle
 import warnings
 from dataclasses import replace
@@ -563,16 +564,21 @@ class TestReplicaGroup:
         # s2t's second weight: features (6) + predictor (2) + domain_disc (6) + 2
         assert "sgd_step" in str(exc.value) and "parameter 16" in str(exc.value)
 
-    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+    def test_pool_workers_run_one_blas_thread_unless_set(self, monkeypatch):
         from cycleadapt.trainer import _openblas, _worker_pool
 
         lib = _openblas()
         if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
             pytest.skip("numpy's bundled OpenBLAS is not available here")
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("OpenBLAS caps its thread count at the number of CPUs")
         # a spawned worker reads its environment at start
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         with _worker_pool(1) as ex:
             assert ex.submit(_blas_threads).result() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        with _worker_pool(1) as ex:
+            assert ex.submit(_blas_threads).result() == 2
 
 
 def _blas_threads() -> int:
