@@ -15,7 +15,8 @@ Deliberate constraints, chosen for debuggability at desk scale:
   are replica axes that it maps over, slice by slice, bit for bit as if
   each slice were run alone. A leading axis of size K thus trains K
   replicas in one pass; their shapes must agree, since there is no
-  broadcasting between operands except scalar-with-tensor. ``sum`` and
+  broadcasting between operands: ``add``, ``sub`` and ``mul`` take two
+  tensors of one shape, and ``mul`` also a Python number. ``sum`` and
   ``mean`` reduce every axis unless given ``axis``
 * any op that produces a non-finite value raises :class:`NonFiniteError`
   naming the op, so adversarial-training blowups surface immediately.
@@ -26,9 +27,11 @@ Deliberate constraints, chosen for debuggability at desk scale:
   intermediate that reaches neither the loss nor any gradient (say, a
   logit that overflowed and was then floored away) no longer stops a step
 * ``mlp`` and ``mean_log_sigmoid`` are fused ops: one graph node for a
-  whole network application or discriminator head, whose values,
-  gradients and non-finite checks are bit-for-bit those of the chain of
-  single ops they replace
+  whole network application or discriminator head. A non-finite check
+  inside one names the step of the chain it fuses ('linear', the
+  activation, 'mul', 'log_sigmoid', 'clamp_min', 'mean'), and the tests
+  check its value and every input gradient bit for bit against that
+  chain, written out in plain numpy
 * ``grad_reversal`` is the identity forward and multiplies the upstream
   gradient by ``-coeff`` backward; it is what lets one descent step drive
   both sides of a minimax game
@@ -52,27 +55,19 @@ __all__ = [
     "NonFiniteError",
     "no_grad",
     "unchecked",
-    "as_tensor",
     "add",
     "sub",
     "mul",
     "matmul",
-    "linear",
     "mlp",
     "ACTIVATIONS",
-    "activation",
-    "relu",
-    "tanh",
     "sigmoid",
     "exp",
-    "clamp_min",
     "log_softmax",
-    "log_sigmoid",
     "mean_log_sigmoid",
     "row_outer",
     "gather_rows",
     "grad_reversal",
-    "detach",
     "GradCheckReport",
     "finite_diff_check",
 ]
@@ -229,41 +224,20 @@ class Tensor:
         for leaf, g in pending.items():
             leaf.grad = g if leaf.grad is None else leaf.grad + g
 
-    # Operator sugar; scalars are the only permitted implicit broadcast.
-    def __add__(self, other):
-        return add(self, other)
+    def sum(self, axis=None) -> "Tensor":
+        shape = self.shape
+        out = np.asarray(self.data.sum(axis=axis))
+        return _result(out, "sum", (self,), lambda g: (_spread(g, shape, axis),))
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return _sum(self, axis)
-
-    def mean(self, axis=None):
-        return _mean(self, axis)
+    def mean(self, axis=None) -> "Tensor":
+        shape = self.shape
+        out = np.asarray(self.data.mean(axis=axis))
+        n = self.size // max(out.size, 1)
+        return _result(out, "mean", (self,), lambda g: (_spread(g / n, shape, axis),))
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self.op!r}{flag})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(data: Array, op: str, parents: tuple[Tensor, ...], backward: BackwardFn) -> Tensor:
@@ -287,66 +261,33 @@ def _node(data: Array, op: str, parents: tuple[Tensor, ...], backward: BackwardF
     return out
 
 
-def _is_scalar_operand(x) -> bool:
-    return isinstance(x, (int, float)) or (isinstance(x, Tensor) and x.data.ndim == 0)
+def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def _check_elementwise(a: Tensor, b, op: str) -> None:
-    if isinstance(b, Tensor) and not _is_scalar_operand(b) and not _is_scalar_operand(a):
-        if a.shape != b.shape:
-            raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "add")
+    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
-def _scalar_grad(g: Array) -> Array:
-    # gradient of a 0-d tensor broadcast against an array operand
-    return np.asarray(g.sum())
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "sub")
+    return _result(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
-def add(a, b) -> Tensor:
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        return _result(a.data + b, "add", (a,), lambda g: (g,))
-    b = as_tensor(b)
-    _check_elementwise(a, b, "add")
-    ga = (lambda g: _scalar_grad(g)) if a.data.ndim == 0 and b.data.ndim != 0 else (lambda g: g)
-    gb = (lambda g: _scalar_grad(g)) if b.data.ndim == 0 and a.data.ndim != 0 else (lambda g: g)
-    return _result(a.data + b.data, "add", (a, b), lambda g: (ga(g), gb(g)))
-
-
-def sub(a, b) -> Tensor:
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        return _result(a.data - b, "sub", (a,), lambda g: (g,))
-    b = as_tensor(b)
-    _check_elementwise(a, b, "sub")
-    ga = (lambda g: _scalar_grad(g)) if a.data.ndim == 0 and b.data.ndim != 0 else (lambda g: g)
-    gb = (lambda g: -_scalar_grad(g)) if b.data.ndim == 0 and a.data.ndim != 0 else (lambda g: -g)
-    return _result(a.data - b.data, "sub", (a, b), lambda g: (ga(g), gb(g)))
-
-
-def mul(a, b) -> Tensor:
-    a = as_tensor(a)
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product with a tensor of the same shape, or scaling by a
+    Python number."""
     if isinstance(b, (int, float)):
         bval = float(b)
         return _result(a.data * bval, "mul", (a,), lambda g: (g * bval,))
-    b = as_tensor(b)
-    _check_elementwise(a, b, "mul")
+    _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-
-    def bwd(g):
-        ga = g * bd
-        gb = g * ad
-        if ad.ndim == 0 and bd.ndim != 0:
-            ga = _scalar_grad(ga)
-        if bd.ndim == 0 and ad.ndim != 0:
-            gb = _scalar_grad(gb)
-        return ga, gb
-
-    return _result(ad * bd, "mul", (a, b), bwd)
+    return _result(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
         raise DimensionError(f"matmul needs matrix operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
@@ -355,57 +296,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, "matmul", (a, b), lambda g: (g @ bd.mT, ad.mT @ g))
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` for weight[out, in], bias[out].
-
-    The bias broadcast over rows happens inside this fused op, keeping
-    the elementwise ops free of implicit broadcasting.
-    """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    if x.data.ndim != 2 or weight.data.ndim != 2 or bias.data.ndim != 1:
-        raise DimensionError(
-            f"linear expects x[n,in], weight[out,in], bias[out]; "
-            f"got {x.shape}, {weight.shape}, {bias.shape}"
-        )
-    if x.shape[1] != weight.shape[1] or weight.shape[0] != bias.shape[0]:
-        raise DimensionError(
-            f"linear dims disagree: x{x.shape}, weight{weight.shape}, bias{bias.shape}"
-        )
-    xd, wd = x.data, weight.data
-    out = xd @ wd.T + bias.data
-    return _result(out, "linear", (x, weight, bias), lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
-
-
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-    return _result(np.maximum(xd, 0.0), "relu", (x,), lambda g: (g * (xd > 0.0),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    t = np.tanh(x.data)
-    return _result(t, "tanh", (x,), lambda g: (g * (1.0 - t * t),))
-
-
 def _sigmoid_stable(z: Array) -> Array:
     e = np.exp(-np.abs(z))
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     s = _sigmoid_stable(x.data)
     return _result(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
-ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind not in ACTIVATIONS:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    return ACTIVATIONS[kind](x)
+ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 
 def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
@@ -413,15 +314,13 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     one graph node.
 
     ``params`` is (weight_0, bias_0, weight_1, bias_1, ...); each layer is
-    ``h @ weight.T + bias`` as in :func:`linear`, and the last one has no
-    activation. Replicas stack as x[K, n, in], weight[K, out, in] and
-    bias[K, out]. Values, gradients and the op a non-finite check names
-    ('linear' or ``kind``) are bit-for-bit those of the unfused chain of
-    ``linear`` and ``activation`` nodes. Only the layer inputs are kept for
-    the backward pass, since each activation's derivative follows from its
-    output; under ``no_grad`` nothing is kept and relu works in place.
+    ``h @ weight.T + bias``, and the last one has no activation. Replicas
+    stack as x[K, n, in], weight[K, out, in] and bias[K, out]. A
+    non-finite check names 'linear' for a layer's affine map and ``kind``
+    for its activation. Only the layer inputs are kept for the backward
+    pass, since each activation's derivative follows from its output;
+    under ``no_grad`` nothing is kept and relu works in place.
     """
-    x = as_tensor(x)
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")
     weights, biases = params[0::2], params[1::2]
@@ -479,22 +378,13 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
 
 
 def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     with np.errstate(over="ignore"):
         e = np.exp(x.data)
     return _result(e, "exp", (x,), lambda g: (g * e,))
 
 
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    """max(x, floor); gradient passes only where x is above the floor."""
-    x = as_tensor(x)
-    mask = x.data > floor
-    return _result(np.where(mask, x.data, floor), "clamp_min", (x,), lambda g: (g * mask,))
-
-
 def log_softmax(x: Tensor) -> Tensor:
     """Row-wise log softmax over a [..., batch, C] tensor, C >= 2, max-shifted."""
-    x = as_tensor(x)
     if x.data.ndim < 2:
         raise DimensionError(f"log_softmax needs [..., batch, C], got {x.shape}")
     if x.shape[-1] < 2:
@@ -505,25 +395,15 @@ def log_softmax(x: Tensor) -> Tensor:
     return _result(out, "log_softmax", (x,), lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
 
 
-def log_sigmoid(x: Tensor) -> Tensor:
-    """log(sigmoid(x)) computed without exponent overflow."""
-    x = as_tensor(x)
-    z = x.data
-    out = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-    s = _sigmoid_stable(z)
-    return _result(out, "log_sigmoid", (x,), lambda g: (g * (1.0 - s),))
-
-
 def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
     """mean(clamp_min(log_sigmoid(z), floor)) over the trailing two axes,
     for z = x, or z = -x when ``negate``, as one graph node.
 
     With D = sigmoid(x) this is the floored E[log D], or E[log(1 - D)]
-    when negated: one side of a discriminator's log-likelihood. Values,
-    gradients and the op a non-finite check names are bit-for-bit those
-    of the unfused chain mul(x, -1), log_sigmoid, clamp_min, mean.
+    when negated: one side of a discriminator's log-likelihood. A
+    non-finite check names the step of that chain that produced the
+    value: 'mul' (the negation), 'log_sigmoid', 'clamp_min' or 'mean'.
     """
-    x = as_tensor(x)
     z = x.data
     if z.ndim < 2:
         raise DimensionError(f"mean_log_sigmoid needs [..., n, d], got {x.shape}")
@@ -551,7 +431,6 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
 
 def row_outer(f: Tensor, p: Tensor) -> Tensor:
     """Row-wise flattened outer product: [n, df] x [n, dp] -> [n, df*dp]."""
-    f, p = as_tensor(f), as_tensor(p)
     if f.data.ndim < 2 or f.data.ndim != p.data.ndim:
         raise DimensionError(f"row_outer needs matrix operands, got {f.shape} and {p.shape}")
     if f.shape[:-1] != p.shape[:-1]:
@@ -570,7 +449,6 @@ def row_outer(f: Tensor, p: Tensor) -> Tensor:
 def gather_rows(x: Tensor, idx) -> Tensor:
     """out[..., i] = x[..., i, idx[..., i]] for a [..., n, C] tensor and
     integer labels."""
-    x = as_tensor(x)
     if x.data.ndim < 2:
         raise DimensionError(f"gather_rows needs [..., n, C], got {x.shape}")
     idx = np.asarray(idx)
@@ -596,15 +474,10 @@ def gather_rows(x: Tensor, idx) -> Tensor:
 
 def grad_reversal(x: Tensor, coeff: float = 1.0) -> Tensor:
     """Identity forward; backward multiplies the upstream gradient by -coeff."""
-    x = as_tensor(x)
     coeff = float(coeff)
     if coeff < 0.0:
         raise ValueError(f"grad_reversal coeff must be nonnegative, got {coeff}")
     return _result(x.data, "grad_reversal", (x,), lambda g: (g * (-coeff),))
-
-
-def detach(x: Tensor) -> Tensor:
-    return as_tensor(x).detach()
 
 
 def _spread(g: Array, shape: tuple[int, ...], axis) -> Array:
@@ -615,21 +488,6 @@ def _spread(g: Array, shape: tuple[int, ...], axis) -> Array:
     out = np.empty(shape)
     out[...] = np.expand_dims(g, axis)
     return out
-
-
-def _sum(x: Tensor, axis=None) -> Tensor:
-    x = as_tensor(x)
-    shape = x.shape
-    out = np.asarray(x.data.sum(axis=axis))
-    return _result(out, "sum", (x,), lambda g: (_spread(g, shape, axis),))
-
-
-def _mean(x: Tensor, axis=None) -> Tensor:
-    x = as_tensor(x)
-    shape = x.shape
-    out = np.asarray(x.data.mean(axis=axis))
-    n = x.size // max(out.size, 1)
-    return _result(out, "mean", (x,), lambda g: (_spread(g / n, shape, axis),))
 
 
 # ---------------------------------------------------------------------------

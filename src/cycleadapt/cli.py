@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .trainer import (
     TrainConfig,
     TrainingAborted,
     ablation_run,
+    atomic_write,
     config_from_flat,
     evaluate,
     flatten_config,
@@ -104,17 +105,9 @@ def _version_string() -> str:
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _manifest(path: str, cfg: TrainConfig, outputs: dict, status: str, extra: dict) -> None:
@@ -244,12 +237,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         result = train(cfg, data, metrics_path=metrics_path)
         save_checkpoint(result.suite, cfg, ckpt_path, step=cfg.total_steps)
-        source_acc = evaluate(result.suite, data.x_s, data.y_s)
-        target_acc = (
-            evaluate(result.suite, data.x_t, data.y_t_eval)
-            if data.y_t_eval is not None
-            else None
-        )
+        if result.history:
+            # train logs both accuracies at its final step
+            final = result.history[-1]
+            source_acc = final.source_acc
+            target_acc = None if math.isnan(final.target_acc) else final.target_acc
+        else:
+            source_acc = evaluate(result.suite, data.x_s, data.y_s)
+            target_acc = (
+                evaluate(result.suite, data.x_t, data.y_t_eval)
+                if data.y_t_eval is not None
+                else None
+            )
     except TrainingAborted as err:
         dump_path = os.path.join(args.out, "abort.json")
         dump = {"error": str(err), "step": err.step}

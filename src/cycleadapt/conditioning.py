@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, detach, mul, row_outer
+from .autodiff import DimensionError, Tensor, matmul, mul, row_outer
 
 DEFAULT_THRESHOLD = 4096
 DEFAULT_RANDOMIZED_DIM = 1024
@@ -116,8 +116,8 @@ def randomized_condition(f: Tensor, p: Tensor, maps: RandomizedMaps) -> Tensor:
             f"map dims ({maps.dim_f}, {maps.dim_p}) do not match "
             f"inputs ({f.shape[-1]}, {p.shape[-1]})"
         )
-    proj_f = f @ maps.r_f_t
-    proj_p = p @ maps.r_p_t
+    proj_f = matmul(f, maps.r_f_t)
+    proj_p = matmul(p, maps.r_p_t)
     return mul(mul(proj_f, proj_p), 1.0 / np.sqrt(maps.out_dim))
 
 
@@ -129,7 +129,7 @@ def condition(
 ) -> Tensor:
     """Apply the policy's branch to a batch of (feature, prediction) rows."""
     if policy.detach_predictions:
-        p = detach(p)
+        p = p.detach()
     if uses_randomized(f.shape[-1], p.shape[-1], policy):
         if maps is None:
             raise ValueError(

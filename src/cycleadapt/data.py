@@ -270,12 +270,16 @@ def _load_domain_csv(path) -> tuple[Array, Array | None]:
                     ys.append(int(row[width]))
             except ValueError as err:
                 raise CsvSchemaError(f"{path}:{lineno}: {err}") from None
+            if has_label and ys[-1] < 0:
+                raise CsvSchemaError(f"{path}:{lineno}: negative label {ys[-1]}")
     if not xs:
         raise CsvSchemaError(f"{path}: no data rows")
     x = np.asarray(xs, dtype=np.float64)
     # one pass over the parsed table; a non-finite sum can also be an
     # overflow of finite values, so only then look row by row
-    if not math.isfinite(float(x.sum())):
+    with np.errstate(over="ignore"):
+        total = float(x.sum())
+    if not math.isfinite(total):
         bad = ~np.isfinite(x)
         if bad.any():
             row = int(bad.any(axis=1).argmax())

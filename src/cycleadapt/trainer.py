@@ -9,6 +9,7 @@ import glob
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -668,9 +669,26 @@ def ablation_run(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_write(path):
+    """Write bytes to a new file next to ``path`` and move it onto ``path``
+    once the block exits cleanly. A write that fails or is interrupted
+    removes the new file and leaves whatever was at ``path`` untouched."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(suite: ModelSuite, cfg: TrainConfig, path, step: int = 0) -> None:
     """Single file: one JSON header line, then every parameter tensor as
-    little-endian float64 in collect_params order."""
+    little-endian float64 in collect_params order. Written atomically: an
+    interrupted save leaves the previous file at ``path``."""
     params = suite.parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -678,7 +696,7 @@ def save_checkpoint(suite: ModelSuite, cfg: TrainConfig, path, step: int = 0) ->
         "step": int(step),
         "param_count": int(sum(p.size for p in params)),
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for p in params:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cycleadapt
+import cycleadapt.cli as cli
 from cycleadapt.cli import main
 from cycleadapt.data import default_benchmark_pair, save_pair_csv
 from cycleadapt.trainer import read_metrics_csv
@@ -82,6 +83,40 @@ class TestTrain:
         assert manifest["config"]["lr"] == 1e-3
         rows = read_metrics_csv(out / "metrics.csv")
         assert [r.step for r in rows] == [20, 40]
+
+    def test_final_accuracies_are_the_last_logged_row(self, tmp_path, dataset, capsys, monkeypatch):
+        # train logs both accuracies at its final step; the command does
+        # not evaluate the sets a second time
+        def no_second_evaluation(*args):
+            raise AssertionError("cmd_train evaluated after training")
+
+        monkeypatch.setattr(cli, "evaluate", no_second_evaluation)
+        code, out = run_train(tmp_path, dataset)
+        assert code == 0
+        last = read_metrics_csv(out / "metrics.csv")[-1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["final_source_acc"] == last.source_acc
+        assert manifest["final_target_acc"] == last.target_acc
+        printed = capsys.readouterr().out.strip()
+        assert printed == (f"final source accuracy {last.source_acc:.4f}, "
+                           f"target accuracy {last.target_acc:.4f}")
+
+    def test_unlabeled_target_reports_no_target_accuracy(self, tmp_path, dataset, capsys):
+        source, target = dataset
+        lines = target.read_text().splitlines()
+        target.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        code, out = run_train(tmp_path, dataset)
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["final_target_acc"] is None
+        assert "target accuracy" not in capsys.readouterr().out
+
+    def test_zero_steps_evaluates_the_initial_model(self, tmp_path, dataset, capsys):
+        code, out = run_train(tmp_path, dataset, "--steps", "0")
+        assert code == 0
+        assert read_metrics_csv(out / "metrics.csv") == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0.0 <= manifest["final_source_acc"] <= 1.0
+        assert 0.0 <= manifest["final_target_acc"] <= 1.0
 
     def test_print_config_shows_resolved_defaults(self, tmp_path, dataset, capsys):
         code, _ = run_train(tmp_path, dataset, "--print-config")
@@ -350,6 +385,14 @@ class TestNonFiniteCsv:
         code, out = run_train(tmp_path, dataset)
         assert code == 2
         assert f"{source}:5: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_rejects_negative_label_with_file_and_line(self, tmp_path, dataset, capsys):
+        source, _ = dataset
+        _with_value(source, 7, 2, "-1")
+        code, out = run_train(tmp_path, dataset)
+        assert code == 2
+        assert f"{source}:7: negative label -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_rejects_inf_with_file_and_line(self, tmp_path, dataset, capsys):

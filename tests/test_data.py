@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,7 +196,18 @@ class TestCsv:
         x = np.full((3, 2), 1.5e308)
         save_domain_csv(sp, x, np.array([0, 1, 0]))
         save_domain_csv(tp, x, None)
-        np.testing.assert_array_equal(load_pair_csv(sp, tp).x_s, x)
+        # valid input loads without any warning, the sum's overflow included
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = load_pair_csv(sp, tp)
+        np.testing.assert_array_equal(pair.x_s, x)
+
+    def test_negative_label_reports_line_number(self, tmp_path):
+        sp, tp = tmp_path / "s.csv", tmp_path / "t.csv"
+        save_domain_csv(sp, np.ones((3, 2)), np.array([0, -1, 1]))
+        save_domain_csv(tp, np.ones((3, 2)), None)
+        with pytest.raises(CsvSchemaError, match=r"s\.csv:3: negative label -1"):
+            load_pair_csv(sp, tp)
 
     def test_empty_file_rejected(self, tmp_path):
         sp = tmp_path / "s.csv"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleadapt.autodiff import NonFiniteError, Tensor, finite_diff_check, mul, sub
+from cycleadapt.autodiff import NonFiniteError, Tensor, add, finite_diff_check, mul, sub
 from cycleadapt.nn import (
     LinearLayer,
     Mlp,
@@ -158,7 +158,7 @@ class TestSgd:
         p3 = Tensor(start.copy(), requires_grad=True)
         base = mul(p3, p3).sum()
         penalty = mul(mul(p3, p3).sum(), wd / 2.0)
-        (base + penalty).backward()
+        add(base, penalty).backward()
         Sgd([p3], lr=0.05).step()
         np.testing.assert_allclose(p1.data, p3.data, atol=1e-12)
 

@@ -287,6 +287,25 @@ class TestCheckpoint:
             result.suite, pair.x_t, pair.y_t_eval
         )
 
+    def test_save_that_fails_midway_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cfg = quick_cfg()
+        suite = build_suite(cfg.arch)
+        path = tmp_path / "model.bin"
+        save_checkpoint(suite, cfg, path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            # counted in the header, then fails as its bytes are written
+            size = 1
+            data = "not a number"
+
+        params = suite.parameters()
+        monkeypatch.setattr(suite, "parameters", lambda: [*params[:-1], Unwritable()])
+        with pytest.raises(ValueError):
+            save_checkpoint(suite, cfg, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.bin"]
+
     def test_truncated_file_rejected(self, tmp_path):
         cfg = quick_cfg()
         suite = build_suite(cfg.arch)
