@@ -1,7 +1,7 @@
 """Command-line entry point: gen, train, eval, ablate, gradcheck.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
-3 runtime abort (non-finite loss, unreadable checkpoint).
+3 runtime abort (non-finite loss or evaluation, unreadable checkpoint).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import NonFiniteError
 from .data import (
     CsvSchemaError,
     DomainPair,
@@ -326,7 +327,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{args.target}: label {int(y.max())} outside checkpoint's "
             f"{cfg.arch.num_classes} classes"
         )
-    acc = evaluate(suite, x, y)
+    try:
+        acc = evaluate(suite, x, y)
+    except NonFiniteError as err:
+        print(f"error: evaluating {args.checkpoint}: {err}", file=sys.stderr)
+        return EXIT_ABORT
     print(f"{acc:.4f}")
     return EXIT_OK
 

@@ -8,7 +8,6 @@ inner products in expectation when the exact product would be too wide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +23,8 @@ class RandomizedMaps:
 
     Entries are standard normal, drawn once at construction and never
     touched by the optimizer. (seed, dims) fully determine the matrices,
-    which is what checkpoints store. :func:`stack_maps` stacks the maps of
-    K replicas along a leading axis, with one seed per replica.
+    which is what checkpoints store. A stacked suite holds the maps of K
+    replicas along a leading axis, with one seed per replica.
     """
 
     r_f: np.ndarray  # [d, dim_f], or [K, d, dim_f] stacked
@@ -60,15 +59,6 @@ def build_randomized_maps(dim_f: int, dim_p: int, d: int, seed: int) -> Randomiz
     r_f = rng.standard_normal((d, dim_f))
     r_p = rng.standard_normal((d, dim_p))
     return RandomizedMaps(r_f=r_f, r_p=r_p, seed=seed)
-
-
-def stack_maps(maps: Sequence[RandomizedMaps]) -> RandomizedMaps:
-    """The maps of K replicas as one RandomizedMaps with a leading axis."""
-    return RandomizedMaps(
-        r_f=np.stack([m.r_f for m in maps]),
-        r_p=np.stack([m.r_p for m in maps]),
-        seed=tuple(m.seed for m in maps),
-    )
 
 
 @dataclass(frozen=True)

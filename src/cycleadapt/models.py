@@ -20,7 +20,6 @@ from .conditioning import (
     build_randomized_maps,
     condition,
     conditioned_width,
-    stack_maps,
     uses_randomized,
 )
 from .nn import LinearLayer, Mlp, make_mlp
@@ -126,11 +125,8 @@ class ModelSuite:
 
     def replica_views(self) -> tuple["ModelSuite", ...]:
         """The per-seed suites of a stacked suite, each parameter pointed
-        at its replica's slice of the stacked one; a plain suite is its own
-        single view. An optimizer rebinds the parameters it owns, so take
-        the views after building it."""
-        if not self.replicas:
-            return (self,)
+        at its replica's slice of the stacked one. An optimizer rebinds the
+        parameters it owns, so take the views after building it."""
         params = self.parameters()
         for k, member in enumerate(self.replicas):
             for stacked, p in zip(params, member.parameters()):
@@ -219,9 +215,16 @@ def build_suite(cfg: ArchConfig, seeds: Sequence[int] | None = None) -> ModelSui
     return suite
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    # a group of one stacks as a view of its member's array: copies made
+    # and freed while building left heap holes that raised the peak RSS of
+    # a wide single run
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _stack_suites(members: list[ModelSuite], cfg: ArchConfig) -> ModelSuite:
     def stack(arrays) -> Tensor:
-        return Tensor(np.stack(arrays), requires_grad=True)
+        return Tensor(_stack(arrays), requires_grad=True)
 
     nets = {}
     for name in NETWORK_ORDER:
@@ -232,7 +235,16 @@ def _stack_suites(members: list[ModelSuite], cfg: ArchConfig) -> ModelSuite:
         ]
         first = per_seed[0]
         nets[name] = Mlp(layers, first.hidden_activation, first.output_activation)
-    maps = None if members[0].maps is None else stack_maps([m.maps for m in members])
+    maps = None
+    if members[0].maps is not None:
+        maps = RandomizedMaps(
+            r_f=_stack([m.maps.r_f for m in members]),
+            r_p=_stack([m.maps.r_p for m in members]),
+            seed=tuple(m.maps.seed for m in members),
+        )
+        # each member keeps a slice of the stacked maps, not a second copy
+        for k, m in enumerate(members):
+            m.maps = replace(m.maps, r_f=maps.r_f[k], r_p=maps.r_p[k])
     return ModelSuite(**nets, maps=maps, arch=cfg, replicas=tuple(members))
 
 

@@ -243,11 +243,12 @@ class BatchStream:
 
 def evaluate(suite: ModelSuite, x: np.ndarray, y: np.ndarray | None) -> float:
     """Fraction of samples whose argmax class equals the label; argmax
-    ties resolve to the lowest class index."""
+    ties resolve to the lowest class index. A non-finite forward raises
+    NonFiniteError naming the op, with no numpy warning ahead of it."""
     if y is None:
         raise ValueError("evaluation needs labels; this dataset has none")
     y = np.asarray(y)
-    with no_grad():
+    with no_grad(), np.errstate(all="ignore"):
         _, p = predict(suite, Tensor(np.asarray(x, dtype=np.float64)))
     pred = p.data.argmax(axis=1)
     return float((pred == y).mean())
@@ -321,35 +322,32 @@ def _grl_step(
     weights: LossWeights,
     grl_coeff: float,
 ) -> list[LossBreakdown]:
-    """One descent step on the rigged objective; one breakdown per replica.
+    """One descent step of a stacked suite on the rigged objective; one
+    breakdown per replica.
 
-    A stacked suite takes batches with a leading replica axis. Its K
-    replica losses are summed for one backward pass: the sum passes each
-    replica a gradient of exactly 1.0, so each gets its own gradient.
+    The batches carry a leading replica axis. The K replica losses are
+    summed for one backward pass: the sum passes each replica a gradient
+    of exactly 1.0, so each gets its own gradient.
 
     Forward and backward run without per-op finiteness checks; the losses
     are checked here and the flat gradient inside ``opt.step``, once each,
-    before any parameter moves. If either is non-finite, the step's
-    forward is replayed with checks on (and numpy's warnings off), so the
-    error names the op that went non-finite first, as a fully checked step
-    would; a replay that passes leaves the optimizer's ``sgd_step`` error.
-    A stacked step replays its first replica whose loss or gradient is
-    non-finite alone, on its per-seed view, and raises ``_ReplicaFailed``.
+    before any parameter moves. If either is non-finite, the first replica
+    whose loss or gradient is, is replayed alone on its per-seed view with
+    checks on (and numpy's warnings off), and ``_ReplicaFailed`` carries
+    what the replay raised: the op that went non-finite first, as a fully
+    checked step would name it. A replay that passes leaves the
+    optimizer's ``sgd_step`` error.
     """
     with unchecked():
-        total, breakdown = total_loss(
+        total, breakdowns = total_loss(
             suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True
         )
-        breakdowns = breakdown if isinstance(breakdown, list) else [breakdown]
-        (total.sum() if total.data.ndim else total).backward()
+        total.sum().backward()
     try:
         if not all(math.isfinite(b.l_total) for b in breakdowns):
             raise NonFiniteError("total_loss")
         opt.step()
     except NonFiniteError as err:
-        if not suite.replicas:
-            _replay(suite, x_s, y_s, x_t, weights, grl_coeff)
-            raise
         params = suite.parameters()
         for k, b in enumerate(breakdowns):
             bad = [i for i, p in enumerate(params)
@@ -435,15 +433,15 @@ def train(
     classification-only run never draws target batches. A non-finite loss
     aborts with the last complete breakdown attached.
 
-    With ``seeds``, ``cfg`` is trained once per seed (each setting both
-    ``seed`` and ``arch.seed``) as one replica group: a stacked suite, one
-    optimizer and one backward pass per step for all of them, while each
-    replica keeps its own batch streams and metrics. The result is one
-    TrainResult per seed, in order, bit-for-bit that of training the seed
-    alone; its suite is a per-seed view into the group's parameters. A
-    group aborts at the first step at which any replica goes non-finite,
-    and the message names that replica's seed. ``metrics_path`` is for a
-    single run only.
+    Every run is one replica group: a stacked suite, one optimizer and one
+    backward pass per step for all replicas, each with its own batch
+    streams and metrics. Without ``seeds`` the group is ``cfg`` alone and
+    the result is its TrainResult. With ``seeds``, ``cfg`` is trained once
+    per seed (each setting both ``seed`` and ``arch.seed``), and the
+    result is one TrainResult per seed, in order, bit-for-bit that of
+    training the seed alone. A result's suite is a per-seed view into the
+    group's parameters. An abort names the seed of the first replica that
+    went non-finite. ``metrics_path`` takes a group of one only.
     """
     if data.num_classes != cfg.arch.num_classes:
         raise ValueError(
@@ -452,21 +450,15 @@ def train(
     if data.input_dim != cfg.arch.input_dim:
         raise ValueError(f"data width {data.input_dim} but arch expects {cfg.arch.input_dim}")
 
-    if seeds is None:
-        cfgs = [cfg]
-        suite = build_suite(cfg.arch)
-    else:
-        if not seeds or metrics_path is not None:
-            raise ValueError("a replica group needs seeds and takes no metrics_path")
-        cfgs = [replace(cfg, seed=int(s), arch=replace(cfg.arch, seed=int(s))) for s in seeds]
-        suite = build_suite(cfg.arch, [c.seed for c in cfgs])
+    cfgs = [cfg] if seeds is None else [
+        replace(cfg, seed=int(s), arch=replace(cfg.arch, seed=int(s))) for s in seeds
+    ]
+    if not cfgs or (metrics_path is not None and len(cfgs) > 1):
+        raise ValueError("a replica group needs seeds; only a group of one takes a metrics_path")
+    suite = build_suite(cfg.arch, [c.arch.seed for c in cfgs])
     weights = resolve_weights(cfg.ablation_mode, cfg.weights)
     need_target = weights.lam > 0.0 or weights.eta1 > 0.0 or weights.eta2 > 0.0
     streams = [_streams(c, data, need_target) for c in cfgs]
-
-    def batch(rows: list[np.ndarray]) -> np.ndarray:
-        # row indices [n], or [K, n] with one row of indices per replica
-        return rows[0] if seeds is None else np.stack(rows)
 
     opt = Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
     views = suite.replica_views()  # after Sgd, which rebinds the parameters
@@ -479,11 +471,12 @@ def train(
             progress = step / cfg.total_steps
             opt.lr = _lr_at(cfg.lr_schedule, cfg.lr, progress)
 
-            idx_s = batch([src.next() for src, _ in streams])
+            # row indices [K, n], one row of indices per replica
+            idx_s = np.stack([src.next() for src, _ in streams])
             x_s = Tensor(data.x_s[idx_s])
             y_s = data.y_s[idx_s]
             x_t = (
-                Tensor(data.x_t[batch([tgt.next() for _, tgt in streams])])
+                Tensor(data.x_t[np.stack([tgt.next() for _, tgt in streams])])
                 if need_target
                 else None
             )
@@ -711,6 +704,8 @@ def load_checkpoint(path) -> tuple[ModelSuite, TrainConfig, int]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: unreadable header: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(

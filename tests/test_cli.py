@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cycleadapt
@@ -267,6 +269,31 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(ckpt), "--target", str(target)])
         assert code == 3
         assert "format version 1 != 2" in capsys.readouterr().err
+
+    def test_header_that_is_not_an_object_exits_3(self, tmp_path, dataset, capsys):
+        _, target = dataset
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"[1]\n" + bytes(8))
+        code = main(["eval", "--checkpoint", str(bad), "--target", str(target)])
+        assert code == 3
+        assert f"{bad}: header is not a JSON object" in capsys.readouterr().err
+
+    def test_overflowing_checkpoint_exits_3_naming_the_op(self, tmp_path, dataset, capsys):
+        code, out = run_train(tmp_path, dataset)
+        assert code == 0
+        ckpt = out / "checkpoint.bin"
+        header, _, payload = ckpt.read_bytes().partition(b"\n")
+        huge = np.full(len(payload) // 8, 1e200, dtype="<f8").tobytes()
+        ckpt.write_bytes(header + b"\n" + huge)
+        capsys.readouterr()
+        _, target = dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--checkpoint", str(ckpt), "--target", str(target)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "op 'linear'" in err
 
     def test_unlabeled_target_exits_2(self, tmp_path, dataset, capsys):
         code, out = run_train(tmp_path, dataset)

@@ -182,5 +182,16 @@ class TestStackedSuite:
                 assert np.shares_memory(p.data, v.data)
                 assert np.array_equal(p.data[k], v.data)
 
-    def test_plain_suite_is_its_own_view(self, small_suite):
-        assert small_suite.replica_views() == (small_suite,)
+    @pytest.mark.parametrize("seeds", [[4, 2], [4]])
+    def test_members_hold_slices_of_the_stacked_maps(self, seeds):
+        from dataclasses import replace
+
+        arch = replace(SMALL_ARCH, cond_threshold=8, cond_randomized_dim=12)
+        stacked = build_suite(arch, seeds)
+        assert stacked.maps.seed == tuple(m.maps.seed for m in stacked.replicas)
+        for k, (seed, member) in enumerate(zip(seeds, stacked.replicas)):
+            alone = build_suite(replace(arch, seed=seed)).maps
+            for name in ("r_f", "r_p"):
+                got = getattr(member.maps, name)
+                assert np.shares_memory(got, getattr(stacked.maps, name))
+                assert np.array_equal(got, getattr(alone, name))

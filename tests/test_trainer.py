@@ -107,26 +107,26 @@ class TestTrainBasics:
         from cycleadapt.autodiff import Tensor
         from cycleadapt.losses import resolve_weights
         from cycleadapt.nn import Sgd
-        from cycleadapt.trainer import _grl_step
+        from cycleadapt.trainer import _grl_step, _ReplicaFailed
 
         cfg = quick_cfg()
-        suite = build_suite(cfg.arch)
+        suite = build_suite(cfg.arch, [cfg.arch.seed])
         opt = Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
         real_backward = autodiff.Tensor.backward
 
         def poisoned_backward(self):
             real_backward(self)
-            suite.s2t.layers[1].weight.grad[0, 0] = np.inf
+            suite.s2t.layers[1].weight.grad[0, 0, 0] = np.inf
 
         monkeypatch.setattr(autodiff.Tensor, "backward", poisoned_backward)
         before = [p.data.copy() for p in suite.parameters()]
-        with pytest.raises(NonFiniteError) as exc:
+        with pytest.raises(_ReplicaFailed) as exc:
             _grl_step(
-                suite, opt, Tensor(PAIR.x_s[:16]), PAIR.y_s[:16], Tensor(PAIR.x_t[:16]),
-                resolve_weights("S3", cfg.weights), 0.5,
+                suite, opt, Tensor(PAIR.x_s[None, :16]), PAIR.y_s[None, :16],
+                Tensor(PAIR.x_t[None, :16]), resolve_weights("S3", cfg.weights), 0.5,
             )
         # the replayed forward is finite, so the optimizer's error stands
-        assert exc.value.op == "sgd_step"
+        assert exc.value.index == 0 and exc.value.error.op == "sgd_step"
         for p, b in zip(suite.parameters(), before):
             assert np.array_equal(p.data, b)
         assert not opt.velocity.any()
@@ -138,8 +138,8 @@ class TestTrainBasics:
         built = []
         real_build = trainer_mod.build_suite
 
-        def capture(arch):
-            built.append(real_build(arch))
+        def capture(*args):
+            built.append(real_build(*args))
             return built[-1]
 
         monkeypatch.setattr(trainer_mod, "build_suite", capture)
@@ -150,13 +150,49 @@ class TestTrainBasics:
             real_backward(self)
             calls["n"] += 1
             if calls["n"] == 4:
-                built[0].features.layers[0].weight.grad[0, 0] = np.nan
+                built[0].features.layers[0].weight.grad[0, 0, 0] = np.nan
 
         monkeypatch.setattr(autodiff.Tensor, "backward", poisoned_backward)
         with pytest.raises(TrainingAborted) as exc:
             train(quick_cfg(), PAIR)
         assert exc.value.step == 4
+        assert str(exc.value).startswith("aborted at step 4 (seed 5): ")
         assert "sgd_step" in str(exc.value) and "parameter 0" in str(exc.value)
+
+    def test_single_run_inits_from_arch_seed_and_draws_batches_from_seed(self, monkeypatch):
+        import cycleadapt.trainer as trainer_mod
+
+        cfg = quick_cfg(total_steps=5, seed=5, ablation_mode="S1")
+        cfg = replace(cfg, arch=replace(cfg.arch, seed=9))
+        inits, drawn = [], []
+        real_build, real_next = trainer_mod.build_suite, BatchStream.next
+
+        def capture(*args):
+            suite = real_build(*args)
+            inits.extend(p.data.copy() for p in suite.parameters())
+            return suite
+
+        def spy(self):
+            drawn.append(real_next(self))
+            return drawn[-1]
+
+        monkeypatch.setattr(trainer_mod, "build_suite", capture)
+        monkeypatch.setattr(BatchStream, "next", spy)
+        train(cfg, PAIR)
+        for got, want in zip(inits, build_suite(cfg.arch).parameters(), strict=True):
+            assert np.array_equal(got[0], want.data)
+        # the first weight, as drawn from cfg.seed, would differ
+        assert not np.array_equal(
+            inits[0][0], build_suite(replace(cfg.arch, seed=5)).parameters()[0].data
+        )
+        # one source then one target batch per step, from cfg.seed's streams
+        rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(5).spawn(2)]
+        src, tgt = (BatchStream(len(x), cfg.batch_size, rng)
+                    for x, rng in zip((PAIR.x_s, PAIR.x_t), rngs))
+        expected = [real_next(stream) for _ in range(5) for stream in (src, tgt)]
+        assert len(drawn) == len(expected)
+        for got, want in zip(drawn, expected):
+            assert np.array_equal(got, want)
 
     def test_sgd_settings_rejected_when_the_config_is_made(self):
         for bad in ({"lr": -1.0}, {"lr": float("nan")}, {"momentum": 1.0},
@@ -344,6 +380,13 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         path.write_bytes(b"\x00\x01\x02 not json\n junk")
         with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"[1]", b"3", b'"text"', b"null"])
+    def test_header_that_is_not_an_object_rejected(self, tmp_path, header):
+        path = tmp_path / "model.bin"
+        path.write_bytes(header + b"\n junk")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(path)
 
 
@@ -546,7 +589,7 @@ class TestReplicaGroup:
                 train(cfg, PAIR, seeds=[2, 1])
         assert alone.value.step == group.value.step == DIVERGENT_STEP
         assert str(alone.value) == (
-            f"aborted at step {DIVERGENT_STEP}: non-finite value produced by op 'mul'"
+            f"aborted at step {DIVERGENT_STEP} (seed 2): non-finite value produced by op 'mul'"
         )
         assert str(group.value) == (
             f"aborted at step {DIVERGENT_STEP} (seed 2): non-finite value produced by op 'mul'"
