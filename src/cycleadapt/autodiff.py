@@ -293,7 +293,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _result(ad @ bd, "matmul", (a, b), lambda g: (g @ bd.mT, ad.mT @ g))
+
+    def backward(g):
+        # a constant operand, such as a randomized map, gets no gradient
+        return (
+            g @ bd.mT if a.requires_grad else None,
+            ad.mT @ g if b.requires_grad else None,
+        )
+
+    return _result(ad @ bd, "matmul", (a, b), backward)
 
 
 def _sigmoid_stable(z: Array) -> Array:

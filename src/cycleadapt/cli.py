@@ -158,6 +158,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
             means[:, 1] = args.class_sep * np.sin(angles)
         cov = np.eye(k) * args.spread**2
         pair = gen_gaussian_shift_pair(args.n, args.classes, means, cov, shift, args.seed)
+        # the class means sit evenly on a circle: a rotation by half their
+        # spacing or more puts a target class at least as near a
+        # neighbour's mean as its own
+        turn = min(shift.rotation_deg, 360.0 - shift.rotation_deg)
+        if shift.kind != "affine" and turn >= 180.0 / args.classes:
+            print(
+                f"warning: rotation {args.rotation} deg is at least half the class "
+                f"spacing of {360.0 / args.classes} deg; target classes may land "
+                f"on their neighbours",
+                file=sys.stderr,
+            )
     else:
         raise CliError(f"unknown generator kind {args.kind!r}")
 

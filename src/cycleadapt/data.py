@@ -11,6 +11,7 @@ absent in target files, which disables evaluation for that pair.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -214,23 +215,19 @@ def default_benchmark_pair(seed: int, n_per_domain: int = 500) -> DomainPair:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def save_domain_csv(path, x: Array, y: Array | None) -> None:
-    x = np.asarray(x)
+    """Write the header and one row per sample, the bytes ``csv.writer``
+    writes: ``repr`` of each value, ``\\r\\n`` line ends."""
+    x = np.asarray(x, dtype=np.float64)
+    header = [f"f{i}" for i in range(x.shape[1])]
+    table = x.tolist()
+    if y is not None:
+        header.append("label")
+        for row, label in zip(table, np.asarray(y).astype(np.int64).tolist()):
+            row.append(label)
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in table), ""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [f"f{i}" for i in range(x.shape[1])]
-        if y is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(x.shape[0]):
-            row = [_fmt(v) for v in x[i]]
-            if y is not None:
-                row.append(str(int(y[i])))
-            writer.writerow(row)
+        fh.write("\r\n".join(lines))
 
 
 def save_pair_csv(pair: DomainPair, source_path, target_path) -> None:
@@ -238,11 +235,25 @@ def save_pair_csv(pair: DomainPair, source_path, target_path) -> None:
     save_domain_csv(target_path, pair.x_t, pair.y_t_eval)
 
 
+def _parse_rows(text: str, dtype) -> np.ndarray:
+    # from a file object, not a list of lines: given a list, the parser
+    # joins a quote left open on one line with the next line
+    return np.loadtxt(
+        io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+        ndmin=1,
+    )
+
+
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(file line number, text) of each data row of the body ``text``; the
+    header is line 1 and blank lines hold no row."""
+    return [(lineno, line) for lineno, line in enumerate(text.split("\n"), start=2) if line]
+
+
 def _load_domain_csv(path) -> tuple[Array, Array | None]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise CsvSchemaError(f"{path}: empty file") from None
         has_label = bool(header) and header[-1] == "label"
@@ -252,32 +263,33 @@ def _load_domain_csv(path) -> tuple[Array, Array | None]:
             raise CsvSchemaError(
                 f"{path}: header must be f0..f{{k-1}}[,label], got {header}"
             )
-        width = len(feat_cols)
-        xs: list[list[float]] = []
-        ys: list[int] = []
-        linenos: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            linenos.append(lineno)
-            if len(row) != len(header):
-                raise CsvSchemaError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                xs.append([float(v) for v in row[:width]])
-                if has_label:
-                    ys.append(int(row[width]))
-            except ValueError as err:
-                raise CsvSchemaError(f"{path}:{lineno}: {err}") from None
-            if has_label and ys[-1] < 0:
-                raise CsvSchemaError(f"{path}:{lineno}: negative label {ys[-1]}")
-    if not xs:
+        text = fh.read()
+    if not text.strip("\n"):
         raise CsvSchemaError(f"{path}: no data rows")
-    x = np.asarray(xs, dtype=np.float64)
+    dtype = [("x", "f8", (len(feat_cols),))] + ([("y", "i8")] if has_label else [])
+    try:
+        table = _parse_rows(text, dtype)
+    except ValueError as err:
+        # the parser's messages count rows in more than one way: parse the
+        # rows one at a time to find the line of the first that fails
+        for lineno, line in _data_lines(text):
+            try:
+                _parse_rows(line, dtype)
+            except ValueError as row_err:
+                reason = str(row_err).split(" at row ")[0]
+                raise CsvSchemaError(f"{path}:{lineno}: {reason}") from None
+        raise CsvSchemaError(f"{path}: {err}") from None
+    x = np.ascontiguousarray(table["x"])
+    y = np.ascontiguousarray(table["y"]) if has_label else None
+    if y is not None and y.min() < 0:
+        row = int((y < 0).argmax())
+        raise CsvSchemaError(
+            f"{path}:{_data_lines(text)[row][0]}: negative label {int(y[row])}"
+        )
     # one pass over the parsed table; a non-finite sum can also be an
-    # overflow of finite values, so only then look row by row
-    with np.errstate(over="ignore"):
+    # overflow of finite values, so only then look row by row (inf plus
+    # -inf is invalid, not an overflow)
+    with np.errstate(over="ignore", invalid="ignore"):
         total = float(x.sum())
     if not math.isfinite(total):
         bad = ~np.isfinite(x)
@@ -285,9 +297,9 @@ def _load_domain_csv(path) -> tuple[Array, Array | None]:
             row = int(bad.any(axis=1).argmax())
             col = int(bad[row].argmax())
             raise CsvSchemaError(
-                f"{path}:{linenos[row]}: non-finite value {float(x[row, col])!r} in column f{col}"
+                f"{path}:{_data_lines(text)[row][0]}: non-finite value "
+                f"{float(x[row, col])!r} in column f{col}"
             )
-    y = np.asarray(ys, dtype=np.int64) if has_label else None
     return x, y
 
 

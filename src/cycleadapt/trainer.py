@@ -241,23 +241,40 @@ class BatchStream:
 # ---------------------------------------------------------------------------
 
 
+# rows per forward pass of ``evaluate``; a set of fewer than two blocks
+# is one pass. OpenBLAS picks other kernels for a gemm of few rows, which
+# can change the bits of a row's product (seen at 64 rows and below), so
+# no block is smaller than this
+EVAL_BLOCK = 1024
+
+
 def evaluate(suite: ModelSuite, x: np.ndarray, y: np.ndarray | None) -> float:
     """Fraction of samples whose argmax class equals the label; argmax
     ties resolve to the lowest class index. A non-finite forward raises
-    NonFiniteError naming the op, with no numpy warning ahead of it."""
+    NonFiniteError naming the op, with no numpy warning ahead of it.
+
+    The forward runs over blocks of EVAL_BLOCK to 2 * EVAL_BLOCK - 1 rows
+    (a smaller set in one pass), keeping only each row's predicted class,
+    with the same result as one pass over the whole set."""
     if y is None:
         raise ValueError("evaluation needs labels; this dataset has none")
     y = np.asarray(y)
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    blocks = max(n // EVAL_BLOCK, 1)
+    pred = np.empty(n, dtype=np.intp)
     with no_grad(), np.errstate(all="ignore"):
-        _, p = predict(suite, Tensor(np.asarray(x, dtype=np.float64)))
-    pred = p.data.argmax(axis=1)
+        for i in range(blocks):
+            lo, hi = i * n // blocks, (i + 1) * n // blocks
+            _, p = predict(suite, Tensor(x[lo:hi]))
+            pred[lo:hi] = p.data.argmax(axis=1)
     return float((pred == y).mean())
 
 
 def domain_disc_mean_out(suite: ModelSuite, data: DomainPair, probe_n: int = 128) -> float:
     """Mean domain-discriminator output over a balanced source/target probe."""
     k = min(probe_n, len(data.x_s), len(data.x_t))
-    with no_grad():
+    with no_grad(), np.errstate(all="ignore"):
         outs = []
         for x in (data.x_s[:k], data.x_t[:k]):
             f, p = predict(suite, Tensor(x))
@@ -393,22 +410,6 @@ class _MetricsWriter:
         self.fh.close()
 
 
-def read_metrics_csv(path) -> list[MetricsRow]:
-    rows: list[MetricsRow] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != METRICS_FIELDS:
-            raise ValueError(f"{path}: unexpected metrics header {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                MetricsRow(
-                    step=int(rec["step"]),
-                    **{k: float(rec[k]) for k in METRICS_FIELDS[1:]},
-                )
-            )
-    return rows
-
-
 def _streams(cfg: TrainConfig, data: DomainPair, need_target: bool):
     """The source and (if needed) target batch streams of one run."""
     ss_source, ss_target = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -499,7 +500,22 @@ def train(
             last = breakdowns
 
             if step % cfg.eval_every == 0 or step == cfg.total_steps:
-                for view, breakdown, history in zip(views, breakdowns, histories):
+                for k, (view, breakdown, history) in enumerate(zip(views, breakdowns, histories)):
+                    try:
+                        source_acc = evaluate(view, data.x_s, data.y_s)
+                        target_acc = (
+                            evaluate(view, data.x_t, data.y_t_eval)
+                            if data.y_t_eval is not None
+                            else float("nan")
+                        )
+                        d_d_mean_out = domain_disc_mean_out(view, data)
+                    except NonFiniteError as err:
+                        # an update can overflow the parameters with a
+                        # finite loss; the evaluation is the first to see it
+                        raise TrainingAborted(
+                            f"aborted at step {step} (seed {cfgs[k].seed}): evaluation: {err}",
+                            breakdown, step,
+                        ) from err
                     row = MetricsRow(
                         step=step,
                         l_cls=breakdown.l_cls,
@@ -508,13 +524,9 @@ def train(
                         l_t2s=breakdown.l_t2s,
                         l_cyc=breakdown.l_cyc,
                         l_total=breakdown.l_total,
-                        source_acc=evaluate(view, data.x_s, data.y_s),
-                        target_acc=(
-                            evaluate(view, data.x_t, data.y_t_eval)
-                            if data.y_t_eval is not None
-                            else float("nan")
-                        ),
-                        d_d_mean_out=domain_disc_mean_out(view, data),
+                        source_acc=source_acc,
+                        target_acc=target_acc,
+                        d_d_mean_out=d_d_mean_out,
                     )
                     history.append(row)
                     if writer is not None:

@@ -57,6 +57,19 @@ class TestMatmul:
         report = finite_diff_check(lambda: matmul(a, b).sum(), [a, b])
         assert report.passed and report.max_rel_err < 1e-4
 
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_operand_gets_no_gradient(self, constant):
+        # as for a randomized map: no product is computed for the constant,
+        # and the other operand's gradient keeps its bits
+        rng = np.random.default_rng(4)
+        data = [rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 3, 4))]
+        g = rng.standard_normal((2, 5, 4))
+        ref = matmul(*(Tensor(d, requires_grad=True) for d in data))._backward(g)
+        operands = [Tensor(d, requires_grad=i != constant) for i, d in enumerate(data)]
+        grads = matmul(*operands)._backward(g)
+        assert grads[constant] is None
+        assert grads[1 - constant].tobytes() == ref[1 - constant].tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))

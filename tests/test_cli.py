@@ -12,7 +12,9 @@ import cycleadapt
 import cycleadapt.cli as cli
 from cycleadapt.cli import main
 from cycleadapt.data import default_benchmark_pair, save_pair_csv
-from cycleadapt.trainer import read_metrics_csv
+
+from conftest import read_metrics_csv
+
 
 @pytest.fixture
 def dataset(tmp_path):
@@ -71,6 +73,34 @@ class TestGen:
         labels = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert labels == {"0", "1", "2"}
 
+    @pytest.mark.parametrize("rotation", ["18", "45", "342"])
+    def test_gaussian_rotation_of_half_the_class_spacing_warns(self, tmp_path, capsys, rotation):
+        # ten classes sit 36 deg apart; 342 deg turns back by 18
+        code = main([
+            "gen", "--kind", "gaussian", "--classes", "10", "--n", "20",
+            "--rotation", rotation, "--out", str(tmp_path),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: rotation {float(rotation)} deg") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the cli_wide data: 16 classes 22.5 deg apart
+            ["--classes", "16", "--rotation", "8"],
+            ["--classes", "10", "--rotation", "17.9"],
+            ["--classes", "10", "--rotation", "45", "--shift-kind", "affine"],
+        ],
+    )
+    def test_gaussian_rotation_under_half_the_class_spacing_is_quiet(
+        self, tmp_path, capsys, argv
+    ):
+        code = main(["gen", "--kind", "gaussian", "--n", "20", "--out", str(tmp_path), *argv])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestTrain:
     def test_successful_run_produces_artifacts(self, tmp_path, dataset, capsys):
         code, out = run_train(tmp_path, dataset)
@@ -119,6 +149,23 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert 0.0 <= manifest["final_source_acc"] <= 1.0
         assert 0.0 <= manifest["final_target_acc"] <= 1.0
+
+    def test_evaluation_that_overflows_aborts_with_exit_3(self, tmp_path, dataset, capsys):
+        # the step-1 update overflows the parameters; the finite loss of
+        # step 1 passes, so the evaluation after it meets the overflow first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_train(tmp_path, dataset, "--lr", "1e305", "--steps", "5",
+                                  "--eval-every", "1")
+        assert code == 3
+        abort = json.loads((out / "abort.json").read_text())
+        assert abort["step"] == 1
+        assert abort["error"] == (
+            "aborted at step 1 (seed 3): evaluation: non-finite value produced by op 'linear'"
+        )
+        assert abort["last_breakdown"] is not None
+        assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
+        assert capsys.readouterr().err.startswith("error: aborted at step 1 (seed 3)")
 
     def test_print_config_shows_resolved_defaults(self, tmp_path, dataset, capsys):
         code, _ = run_train(tmp_path, dataset, "--print-config")

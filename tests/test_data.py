@@ -1,15 +1,19 @@
+import csv
+import io
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
 from cycleadapt.data import (
     CsvSchemaError,
     DomainPair,
     ShiftSpec,
+    _load_domain_csv,
     apply_shift,
     default_benchmark_pair,
     gen_gaussian_shift_pair,
@@ -202,12 +206,52 @@ class TestCsv:
             pair = load_pair_csv(sp, tp)
         np.testing.assert_array_equal(pair.x_s, x)
 
+    def test_opposite_infinities_report_their_line_without_a_warning(self, tmp_path):
+        sp = tmp_path / "s.csv"
+        sp.write_text("f0,f1,label\n1.0,2.0,0\ninf,-inf,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvSchemaError, match=r"s\.csv:3: non-finite value inf in column f0"):
+                _load_domain_csv(sp)
+
     def test_negative_label_reports_line_number(self, tmp_path):
         sp, tp = tmp_path / "s.csv", tmp_path / "t.csv"
         save_domain_csv(sp, np.ones((3, 2)), np.array([0, -1, 1]))
         save_domain_csv(tp, np.ones((3, 2)), None)
         with pytest.raises(CsvSchemaError, match=r"s\.csv:3: negative label -1"):
             load_pair_csv(sp, tp)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1.0,oops,1",
+            "1.0,2.0",
+            "1.0,2.0,0,",
+            "#1.0,2.0,0",  # a data row, not a comment
+            "1.0,2.0,-3",
+            '"1\n2",2.0,0',  # one field holding a line break, not 12.0
+            "1.0,inf,1",
+            # accepted by Python's float and int, rejected by the parser
+            "1_000,2.0,0",
+            "1.0,2.0,1_0",
+            "\uff11.0,2.0,0",  # a full-width digit one
+            # beyond int64; the per-row parse accepted it and then failed
+            # with an OverflowError instead of a located error
+            "1.0,2.0,99999999999999999999",
+        ],
+    )
+    def test_rejected_row_reports_its_line_after_blank_lines(self, tmp_path, line):
+        sp = tmp_path / "s.csv"
+        sp.write_text(f"f0,f1,label\n1.0,2.0,0\n\n\n{line}\n1.0,2.0,0\n", encoding="utf-8")
+        with pytest.raises(CsvSchemaError, match=r"s\.csv:5: "):
+            _load_domain_csv(sp)
+
+    def test_quoted_padded_and_crlf_fields_load(self, tmp_path):
+        sp = tmp_path / "s.csv"
+        sp.write_bytes(b'f0,f1,label\r\n"1.5", 2.5e-3 , 3 \r\n\r\n-0.0,1e308,0\r\n')
+        x, y = _load_domain_csv(sp)
+        assert x.tobytes() == np.array([[1.5, 2.5e-3], [-0.0, 1e308]]).tobytes()
+        assert y.tolist() == [3, 0]
 
     def test_empty_file_rejected(self, tmp_path):
         sp = tmp_path / "s.csv"
@@ -233,3 +277,45 @@ class TestDomainPairContract:
                 ShiftSpec(kind="affine", scale=(1.0, 1.0), translate=(0.0, 0.0),
                           rotation_deg=0.0),
             )
+
+
+def _csv_writer_bytes(x, y) -> bytes:
+    """The file as csv.writer writes it: repr of each value, one row per
+    sample."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f"f{i}" for i in range(x.shape[1])] + (["label"] if y is not None else []))
+    for i in range(x.shape[0]):
+        row = [repr(float(v)) for v in x[i]]
+        if y is not None:
+            row.append(str(int(y[i])))
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(1, 4))
+    x = draw(arrays(np.float64, (n, k), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    y = draw(st.none() | arrays(np.int64, n, elements=st.integers(0, 2**63 - 1)))
+    return x, y
+
+
+class TestCsvWriter:
+    @given(_tables())
+    @example((np.array([[-0.0, 5e-324], [1e308, -2.2250738585072014e-308]]), None))
+    @example((np.array([[-0.0, 5e-324], [1e308, -1e-310]]), np.array([0, 7])))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_csv_writer_and_load_back_bitwise(self, tmp_path, table):
+        x, y = table
+        path = tmp_path / "t.csv"
+        save_domain_csv(path, x, y)
+        assert path.read_bytes() == _csv_writer_bytes(x, y)
+        if len(x):
+            loaded_x, loaded_y = _load_domain_csv(path)
+            assert loaded_x.tobytes() == x.tobytes()
+            assert (loaded_y is None) == (y is None)
+            if y is not None:
+                assert loaded_y.tobytes() == y.tobytes()

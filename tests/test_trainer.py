@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import cycleadapt.losses as losses_mod
-from cycleadapt.autodiff import NonFiniteError
+import cycleadapt.trainer as trainer_mod
+from cycleadapt.autodiff import NonFiniteError, Tensor, no_grad
 from cycleadapt.data import default_benchmark_pair, gen_two_moons_pair, ShiftSpec
 from cycleadapt.losses import LossBreakdown
-from cycleadapt.models import ArchConfig, build_suite
+from cycleadapt.models import ArchConfig, build_suite, predict
 from cycleadapt.trainer import (
     ABLATION_MODES,
+    EVAL_BLOCK,
     BatchStream,
     CheckpointError,
     MetricsRow,
@@ -25,11 +27,12 @@ from cycleadapt.trainer import (
     evaluate,
     flatten_config,
     load_checkpoint,
-    read_metrics_csv,
     save_checkpoint,
     stability_spread,
     train,
 )
+
+from conftest import read_metrics_csv
 
 PAIR = default_benchmark_pair(seed=21, n_per_domain=96)
 # the step at which quick_cfg(lr=5, constant schedules) diverges in S3
@@ -269,6 +272,46 @@ class TestEvaluate:
     def test_missing_labels_rejected(self, small_suite):
         with pytest.raises(ValueError):
             evaluate(small_suite, np.ones((2, 3)), None)
+
+    @staticmethod
+    def _block_outputs(monkeypatch):
+        """The class probabilities of each forward pass evaluate makes."""
+        outputs = []
+
+        def recording_predict(suite, x):
+            f, p = predict(suite, x)
+            outputs.append(p.data.copy())
+            return f, p
+
+        monkeypatch.setattr(trainer_mod, "predict", recording_predict)
+        return outputs
+
+    def test_blocks_are_balanced_and_never_smaller_than_the_constant(
+        self, small_suite, monkeypatch
+    ):
+        outputs = self._block_outputs(monkeypatch)
+        b = EVAL_BLOCK
+        for n in (1, 500, 2 * b - 1, 2 * b, 20000):
+            outputs.clear()
+            evaluate(small_suite, np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
+            sizes = [len(p) for p in outputs]
+            assert sum(sizes) == n
+            if n < 2 * b:
+                assert sizes == [n]
+            else:
+                assert len(sizes) == n // b
+                assert min(sizes) >= b and max(sizes) - min(sizes) <= 1
+
+    def test_blocked_forward_equals_one_whole_forward_on_a_wide_set(self, monkeypatch):
+        # the cli_wide shape: 20000 rows, feature width 272, 16 classes
+        suite = build_suite(ArchConfig(input_dim=2, num_classes=16, feature_dim=272, seed=3))
+        x = np.random.default_rng(5).normal(scale=6.0, size=(20000, 2))
+        with no_grad():
+            _, whole = predict(suite, Tensor(x))
+        outputs = self._block_outputs(monkeypatch)
+        assert evaluate(suite, x, whole.data.argmax(axis=1)) == 1.0
+        assert len(outputs) > 1
+        assert np.concatenate(outputs).tobytes() == whole.data.tobytes()
 
 
 class TestStabilitySpread:
