@@ -108,6 +108,8 @@ def main(argv=None) -> int:
             "system": platform.system(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            # the ladder trains on a pool of min(modes, usable CPUs) workers
+            "usable_cpus": len(os.sched_getaffinity(0)),
             "cpu_model": _cpu_model(),
             "python": platform.python_version(),
         },

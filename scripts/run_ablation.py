@@ -20,13 +20,13 @@ from cycleadapt.trainer import ABLATION_MODES, ablation_run, default_train_confi
 FIXTURE_PATH = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "two_moons_ladder.json"
 
 
-def check_against_fixture(workers: int) -> int:
+def check_against_fixture() -> int:
     """Rerun the fixture's ladder; 0 if every per-seed accuracy is equal."""
     fixture = json.loads(FIXTURE_PATH.read_text())
     seeds = fixture["seeds"]
     t0 = time.time()
     pair = default_benchmark_pair(seed=fixture["benchmark"]["data_seed"])
-    table = ablation_run(default_train_config(), pair, seeds, workers=workers)
+    table = ablation_run(default_train_config(), pair, seeds)
     mismatches = 0
     for mode in ABLATION_MODES:
         got = list(table[mode].accuracies)
@@ -44,7 +44,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", default="1,2,3,4,5")
     parser.add_argument("--data-seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--out", default="ablation_table.csv")
     action = parser.add_mutually_exclusive_group()
     action.add_argument("--fixture", action="store_true",
@@ -53,12 +52,12 @@ def main() -> int:
                       help="compare the fixture's ladder with a rerun; write nothing")
     args = parser.parse_args()
     if args.check:
-        return check_against_fixture(args.workers)
+        return check_against_fixture()
     seeds = [int(s) for s in args.seeds.split(",")]
 
     t0 = time.time()
     pair = default_benchmark_pair(seed=args.data_seed)
-    table = ablation_run(default_train_config(), pair, seeds, workers=args.workers)
+    table = ablation_run(default_train_config(), pair, seeds)
 
     lines = ["mode,mean_target_acc,std_target_acc,n_seeds"]
     for mode, stats in table.items():

@@ -8,7 +8,7 @@ from .conditioning import ConditioningPolicy, RandomizedMaps, condition
 from .data import DomainPair, ShiftSpec, gen_gaussian_shift_pair, gen_two_moons_pair
 from .losses import LossBreakdown, LossWeights, resolve_weights, total_loss
 from .models import ArchConfig, ModelSuite, build_suite, predict
-from .nn import LinearLayer, Mlp, Sgd, collect_params
+from .nn import LinearLayer, Mlp, Sgd
 from .trainer import (
     MetricsRow,
     TrainConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "LinearLayer",
     "Mlp",
     "Sgd",
-    "collect_params",
     "MetricsRow",
     "TrainConfig",
     "TrainResult",

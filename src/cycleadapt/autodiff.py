@@ -39,8 +39,9 @@ Deliberate constraints, chosen for debuggability at desk scale:
 
 from __future__ import annotations
 
+import functools
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -317,6 +318,16 @@ def sigmoid(x: Tensor) -> Tensor:
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 
+_KEEP_ERRSTATE = nullcontext()
+
+
+# the hidden-layer buffers of an mlp that records no graph: two per shape,
+# one per layer parity, so that a layer never writes over its own input
+@functools.lru_cache(maxsize=16)
+def _scratch(shape: tuple[int, ...], slot: int) -> Array:
+    return np.empty(shape)
+
+
 def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     """A stack of affine layers with activation ``kind`` between them, as
     one graph node.
@@ -325,9 +336,16 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     ``h @ weight.T + bias``, and the last one has no activation. Replicas
     stack as x[K, n, in], weight[K, out, in] and bias[K, out]. A
     non-finite check names 'linear' for a layer's affine map and ``kind``
-    for its activation. Only the layer inputs are kept for the backward
-    pass, since each activation's derivative follows from its output;
-    under ``no_grad`` nothing is kept and relu works in place.
+    for its activation, with numpy's floating-point warnings off, since
+    the check reports the value. Only the layer inputs are kept for the
+    backward pass, since each activation's derivative follows from its
+    output.
+
+    When nothing is recorded (under ``no_grad``, or with no input that
+    requires a gradient), nothing is kept, and each hidden layer writes
+    into a scratch buffer that later calls reuse: an evaluation pass then
+    maps and faults in no fresh memory. The output is always a fresh
+    array, so a caller may keep it across later calls.
     """
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")
@@ -345,21 +363,27 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     last = len(ws) - 1
     inputs: list[Array] = []
     h = x.data
-    for i, w in enumerate(ws):
-        if record:
-            inputs.append(h)
-        h = h @ w.mT
-        h += bs[i]
-        _check(h, "linear")
-        if i == last:
-            break
-        if kind == "relu":
-            np.maximum(h, 0.0, out=h)
-        elif kind == "tanh":
-            h = np.tanh(h)
-        else:
-            h = _sigmoid_stable(h)
-        _check(h, kind)
+    # the training step runs unchecked, where numpy's warnings are already off
+    with np.errstate(all="ignore") if _CHECK_FINITE else _KEEP_ERRSTATE:
+        for i, w in enumerate(ws):
+            if record:
+                inputs.append(h)
+                h = h @ w.mT
+            elif i < last:
+                h = np.matmul(h, w.mT, out=_scratch((*h.shape[:-1], w.shape[-2]), i % 2))
+            else:
+                h = h @ w.mT
+            h += bs[i]
+            _check(h, "linear")
+            if i == last:
+                break
+            if kind == "relu":
+                np.maximum(h, 0.0, out=h)
+            elif kind == "tanh":
+                np.tanh(h, out=h)
+            else:
+                h = _sigmoid_stable(h)
+            _check(h, kind)
 
     def backward(g):
         grads: list[Array | None] = [None] * len(parents)

@@ -47,8 +47,7 @@ from .losses import (
     translation_loss_s2t,
     translation_loss_t2s,
 )
-from .models import ArchConfig, ModelSuite, build_suite
-from .nn import collect_params
+from .models import NETWORK_ORDER, ArchConfig, ModelSuite, build_suite
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
@@ -215,8 +214,8 @@ def _small_suite(seed: int) -> tuple[ModelSuite, Tensor, np.ndarray, Tensor]:
 
 def _suite_param_names(suite: ModelSuite) -> list[str]:
     names = []
-    for net_name, net in suite.networks().items():
-        for i, layer in enumerate(net.layers):
+    for net_name in NETWORK_ORDER:
+        for i in range(len(getattr(suite, net_name).layers)):
             names.append(f"{net_name}.{i}.weight")
             names.append(f"{net_name}.{i}.bias")
     return names
@@ -313,14 +312,14 @@ def _check_minimax_rig(seed: int, eps: float, tol: float) -> GradCheckReport:
     report = GradCheckReport(eps=eps, tol=tol)
 
     def grads(rig: bool) -> dict[str, np.ndarray]:
-        suite.zero_grads()
+        for p in suite.parameters():
+            p.zero_grad()
         total, _ = total_loss(suite, (x_s, y_s), x_t, _REFERENCE_WEIGHTS, rig_minimax=rig)
         total.backward()
         out = {}
-        for net_name, net in suite.networks().items():
-            for i, p in enumerate(collect_params(net)):
+        for net_name in NETWORK_ORDER:
+            for i, p in enumerate(getattr(suite, net_name).parameters()):
                 out[f"{net_name}.{i}"] = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-        suite.zero_grads()
         return out
 
     rigged = grads(True)

@@ -103,9 +103,6 @@ class ModelSuite:
     # a stacked suite's per-seed suites (see build_suite); empty otherwise
     replicas: tuple["ModelSuite", ...] = ()
 
-    def networks(self) -> dict[str, Mlp]:
-        return {name: getattr(self, name) for name in NETWORK_ORDER}
-
     def parameters(self) -> list[Tensor]:
         # fixed network order; randomized maps are deliberately excluded
         out: list[Tensor] = []
@@ -115,10 +112,6 @@ class ModelSuite:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def condition(self, f: Tensor, p: Tensor) -> Tensor:
         return condition(f, p, self.arch.policy(), self.maps)

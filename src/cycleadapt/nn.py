@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -128,23 +128,6 @@ def make_mlp(
         init_linear(i, o, scheme, rng) for i, o in zip(dims[:-1], dims[1:])
     ]
     return Mlp(layers, hidden_activation, output_activation)
-
-
-def collect_params(obj) -> list[Tensor]:
-    """Flatten parameters in a deterministic order.
-
-    Accepts an Mlp, anything exposing ``parameters()``, or an iterable of
-    such objects. Order is construction order, so identical configs yield
-    identical orderings.
-    """
-    if hasattr(obj, "parameters"):
-        return list(obj.parameters())
-    if isinstance(obj, Iterable):
-        out: list[Tensor] = []
-        for item in obj:
-            out.extend(collect_params(item))
-        return out
-    raise TypeError(f"cannot collect parameters from {type(obj).__name__}")
 
 
 def _runs(grads: list) -> list[tuple[int, int, bool]]:

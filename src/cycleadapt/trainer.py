@@ -602,6 +602,15 @@ def pin_blas_threads() -> None:
         setter(1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _worker_pool(workers: int):
     """Spawned worker processes, each started by ``pin_blas_threads``."""
     # imported here, as only a pooled ladder needs them (they cost every
@@ -628,11 +637,32 @@ def _ladder_group(
     return out
 
 
+def _pooled_groups(workers: int, jobs: list[tuple]) -> list:
+    """``_ladder_group`` of each job, in job order, on ``workers`` spawned
+    processes. Jobs start in order, one per free worker; after the first
+    failure no further job starts, the running ones finish, and the
+    earliest failing job's error is raised, as a run in this process would.
+    """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    futures, running = [], set()
+    with _worker_pool(workers) as ex:
+        for job in jobs:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.exception() is not None for f in done):
+                    break
+            futures.append(ex.submit(_ladder_group, *job))
+            running.add(futures[-1])
+    # every job before the first failing one has finished, so reading the
+    # results in job order raises that job's error
+    return [f.result() for f in futures]
+
+
 def ablation_run(
     base_cfg: TrainConfig,
     data: DomainPair,
     seeds: Sequence[int],
-    workers: int = 1,
     modes: Sequence[str] = ABLATION_MODES,
 ) -> dict[str, ModeStats]:
     """Train every (mode, seed) pair of the ladder; one ModeStats per mode.
@@ -640,28 +670,28 @@ def ablation_run(
     ``modes`` picks a subset of ABLATION_MODES, returned in that order.
     Each run reseeds both the architecture and the batch stream, so the
     whole table is reproducible end to end. Each mode trains all seeds as
-    one replica group (see ``train``). With ``workers == 1`` the groups go
-    one after another in this process; otherwise each group is one job
-    for a pool of that many worker processes, with the same results.
+    one replica group (see ``train``). The groups run on a pool of
+    min(modes, usable CPUs) spawned worker processes, which exit before
+    this returns or raises; with one CPU or one mode they run one after
+    another in this process. Either way the table, or the error of a
+    diverging group, is the same.
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     unknown = set(modes) - set(ABLATION_MODES)
     if unknown or not modes:
         raise ValueError(f"ablation modes must be a nonempty subset of {ABLATION_MODES}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     modes = [m for m in ABLATION_MODES if m in modes]
     seeds = [int(s) for s in seeds]
     # the later modes go first: they build more loss terms and take longer,
     # so pooled workers finish closer together
     order = modes[::-1]
-    args = ([base_cfg] * len(order), [data] * len(order), order, [seeds] * len(order))
+    jobs = [(base_cfg, data, mode, seeds) for mode in order]
+    workers = min(len(order), _usable_cpus())
     if workers == 1:
-        groups = list(map(_ladder_group, *args))
+        groups = [_ladder_group(*job) for job in jobs]
     else:
-        with _worker_pool(min(workers, len(order))) as ex:
-            groups = list(ex.map(_ladder_group, *args))
+        groups = _pooled_groups(workers, jobs)
     table = {
         mode: ModeStats(mode, *(tuple(column) for column in zip(*group)))
         for mode, group in zip(order, groups)
@@ -692,8 +722,8 @@ def atomic_write(path):
 
 def save_checkpoint(suite: ModelSuite, cfg: TrainConfig, path, step: int = 0) -> None:
     """Single file: one JSON header line, then every parameter tensor as
-    little-endian float64 in collect_params order. Written atomically: an
-    interrupted save leaves the previous file at ``path``."""
+    little-endian float64 in ``ModelSuite.parameters`` order. Written
+    atomically: an interrupted save leaves the previous file at ``path``."""
     params = suite.parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,

@@ -59,9 +59,9 @@ def ladder():
     base = default_train_config()
     pair = default_benchmark_pair(seed=DATA_SEED)
     t0 = time.perf_counter()
-    table = ablation_run(base, pair, SEEDS, workers=2, modes=("S0", "S1", "S3"))
+    table = ablation_run(base, pair, SEEDS, modes=("S0", "S1", "S3"))
     subset_wall = time.perf_counter() - t0
-    table.update(ablation_run(base, pair, SEEDS, workers=2, modes=("S2", "S4")))
+    table.update(ablation_run(base, pair, SEEDS, modes=("S2", "S4")))
     history = table["S3"].histories[SEEDS.index(FIXTURE["default_run"]["seed"])]
     default_run = {
         "d_d_mean_out": history[-1].d_d_mean_out,

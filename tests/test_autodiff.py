@@ -467,6 +467,9 @@ class TestFusedOps:
             assert x_t.grad is None
         for i, (p, ref) in enumerate(zip(params, grads_ref)):
             _assert_bitwise(p.grad, ref, f"parameter {i} gradient")
+        # without a graph the hidden layers go through reused buffers
+        with no_grad():
+            _assert_bitwise(mlp(Tensor(x), params, kind).data, out_ref, "no-graph forward")
 
     @given(
         rows=st.integers(1, 9),
@@ -500,6 +503,18 @@ class TestFusedOps:
             out = mlp(Tensor(np.ones((2, 3))), params, "relu")
         assert not out.requires_grad and out._backward is None
 
+    @pytest.mark.parametrize("replicas", [(), (2,)], ids=["single", "stacked"])
+    def test_no_graph_output_survives_a_later_call_of_the_same_shapes(self, replicas):
+        rng = np.random.default_rng(0)
+        shapes = [(5, 3), (5,), (5, 5), (5,), (2, 5), (2,)]
+        params = [Tensor(rng.standard_normal(replicas + s)) for s in shapes]
+        with no_grad():
+            first = mlp(Tensor(rng.standard_normal(replicas + (4, 3))), params, "tanh")
+            kept = first.data.copy()
+            second = mlp(Tensor(rng.standard_normal(replicas + (4, 3))), params, "tanh")
+        assert not np.array_equal(second.data, kept)
+        _assert_bitwise(first.data, kept, "earlier output")
+
     def test_mlp_rejects_wrong_input_width_and_activation(self):
         params = [Tensor(np.ones((4, 3))), Tensor(np.zeros(4))]
         with pytest.raises(DimensionError):
@@ -509,12 +524,15 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
     def test_non_finite_names_the_same_op_as_the_chain(self, kind):
-        # the first layer overflows to inf: the chain's 'linear' step is blamed
+        # the first layer overflows to inf: the chain's 'linear' step is
+        # blamed, with no numpy warning ahead of the error
         x = Tensor(np.full((2, 3), 1e300))
         params = [Tensor(np.full((4, 3), 1e300)), Tensor(np.zeros(4)),
                   Tensor(np.ones((1, 4))), Tensor(np.zeros(1))]
-        with pytest.raises(NonFiniteError) as exc:
-            mlp(x, params, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                mlp(x, params, kind)
         assert exc.value.op == "linear"
 
     def test_unchecked_skips_checks_and_warnings(self):

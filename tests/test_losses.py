@@ -295,7 +295,8 @@ class TestTotalLoss:
         total.backward()
         direct = cross_entropy(suite.predictor(suite.features(Tensor(x_s))), y_s)
         grads_a = [p.grad.copy() for p in suite.features.parameters()]
-        suite.zero_grads()
+        for p in suite.parameters():
+            p.zero_grad()
         direct.backward()
         for a, p in zip(grads_a, suite.features.parameters()):
             np.testing.assert_allclose(a, p.grad, atol=1e-15)

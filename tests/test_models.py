@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from cycleadapt.autodiff import Tensor, no_grad
-from cycleadapt.models import MAX_COND_THRESHOLD, ArchConfig, build_suite, predict
-from cycleadapt.nn import collect_params
+from cycleadapt.models import (
+    MAX_COND_THRESHOLD,
+    NETWORK_ORDER,
+    ArchConfig,
+    build_suite,
+    predict,
+)
 
 from conftest import SMALL_ARCH
 
@@ -155,7 +160,7 @@ def test_param_count_matches_closed_form(small_suite):
         + 2 * mlp_count((a.feature_dim, a.sample_disc_hidden, a.sample_disc_hidden, 1))
     )
     assert small_suite.param_count() == expected
-    assert sum(p.size for p in collect_params(list(small_suite.networks().values()))) == expected
+    assert sum(getattr(small_suite, name).param_count() for name in NETWORK_ORDER) == expected
 
 
 class TestStackedSuite:

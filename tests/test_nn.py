@@ -8,7 +8,6 @@ from cycleadapt.nn import (
     LinearLayer,
     Mlp,
     Sgd,
-    collect_params,
     init_linear,
     make_mlp,
 )
@@ -81,25 +80,6 @@ class TestMlp:
 
         with pytest.raises(DimensionError):
             Mlp([a, b])
-
-
-class TestCollectParams:
-    def test_two_layer_count(self):
-        mlp = make_mlp((4, 8, 2), np.random.default_rng(0))
-        params = collect_params(mlp)
-        assert len(params) == 4
-        assert sum(p.size for p in params) == 58  # 4*8 + 8 + 8*2 + 2
-
-    def test_empty_model(self):
-        assert collect_params(Mlp([])) == []
-        assert collect_params([]) == []
-
-    def test_ordering_is_deterministic(self):
-        a = make_mlp((4, 8, 2), np.random.default_rng(5))
-        b = make_mlp((4, 8, 2), np.random.default_rng(5))
-        for pa, pb in zip(collect_params(a), collect_params(b)):
-            assert pa.shape == pb.shape
-            assert np.array_equal(pa.data, pb.data)
 
     @given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=5))
     @settings(max_examples=25, deadline=None)

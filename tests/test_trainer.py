@@ -1,6 +1,11 @@
+import ctypes
 import json
+import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -313,6 +318,38 @@ class TestEvaluate:
         assert len(outputs) > 1
         assert np.concatenate(outputs).tobytes() == whole.data.tobytes()
 
+    def test_repeated_evaluation_faults_in_no_fresh_memory(self, tmp_path):
+        # a 500-row pass has [500, 64] hidden layers (256 KB each), above
+        # glibc's default mmap threshold, so fresh ones were mapped and
+        # faulted in on every call. Whether they were depends on what the
+        # process freed before (glibc raises the threshold then), so the
+        # probe sets the default threshold explicitly, which stops that
+        pytest.importorskip("resource")
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("needs glibc's mallopt")
+        script = tmp_path / "evaluate_faults.py"
+        script.write_text(
+            "import ctypes, resource\n"
+            "from cycleadapt.data import default_benchmark_pair\n"
+            "from cycleadapt.models import build_suite\n"
+            "from cycleadapt.trainer import default_train_config, evaluate\n"
+            "M_MMAP_THRESHOLD = -3\n"
+            "assert ctypes.CDLL(None).mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1\n"
+            "pair = default_benchmark_pair(seed=7)\n"
+            "assert len(pair.x_t) == 500\n"
+            "suite = build_suite(default_train_config().arch)\n"
+            "evaluate(suite, pair.x_t, pair.y_t_eval)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(10):\n"
+            "    evaluate(suite, pair.x_t, pair.y_t_eval)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)\n"
+        )
+        src = os.path.dirname(os.path.dirname(trainer_mod.__file__))
+        out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) < 5
+
 
 class TestStabilitySpread:
     def rows(self, accs, total):
@@ -537,12 +574,43 @@ class TestAblationRun:
         with pytest.raises(ValueError):
             ablation_run(quick_cfg(), PAIR, seeds=[1])
 
-    def test_worker_processes_give_the_in_process_table(self):
+    def test_worker_processes_give_the_in_process_table(self, monkeypatch):
         cfg = quick_cfg(total_steps=30, eval_every=15)
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 1)
         serial = ablation_run(cfg, PAIR, [1, 2])
-        pooled = ablation_run(cfg, PAIR, [1, 2], workers=2)
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 2)
+        pooled = ablation_run(cfg, PAIR, [1, 2])
         assert serial == pooled
         assert all(len(h) == 2 for stats in serial.values() for h in stats.histories)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, modes, pool", [
+        (1, ABLATION_MODES, None),
+        (2, ABLATION_MODES, 2),
+        (16, ABLATION_MODES, 5),
+        (16, ("S1", "S3"), 2),
+        (16, ("S3",), None),
+    ], ids=["1cpu", "2cpus", "16cpus", "16cpus-2modes", "16cpus-1mode"])
+    def test_pool_has_one_worker_per_mode_up_to_the_usable_cpus(
+        self, monkeypatch, cpus, modes, pool
+    ):
+        sizes = []
+
+        def in_process(workers, jobs):
+            sizes.append(workers)
+            return [trainer_mod._ladder_group(*job) for job in jobs]
+
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(trainer_mod, "_pooled_groups", in_process)
+        table = ablation_run(quick_cfg(total_steps=2, eval_every=2), PAIR, [1, 2], modes=modes)
+        assert list(table) == list(modes)
+        assert sizes == ([] if pool is None else [pool])
+
+    def test_usable_cpus_falls_back_to_the_machine_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert trainer_mod._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert trainer_mod._usable_cpus() == (os.cpu_count() or 1)
 
     def test_modes_subset_in_ladder_order(self):
         cfg = quick_cfg(total_steps=15, eval_every=15)
@@ -553,13 +621,34 @@ class TestAblationRun:
             with pytest.raises(ValueError):
                 ablation_run(cfg, PAIR, [1, 2], modes=bad)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_divergence_aborts_the_same_way_in_and_out_of_process(self, workers):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_divergence_aborts_the_same_way_in_and_out_of_process(self, monkeypatch, cpus):
         cfg = quick_cfg(lr=5.0, grl_schedule="constant", lr_schedule="constant")
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
         with pytest.raises(TrainingAborted) as exc:
-            ablation_run(cfg, PAIR, [1, 2], workers=workers, modes=("S3",))
+            ablation_run(cfg, PAIR, [1, 2], modes=("S0", "S3"))
+        # the later mode runs first
         assert exc.value.step == DIVERGENT_STEP
         assert "non-finite" in str(exc.value)
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_abort_starts_no_queued_group(self, monkeypatch):
+        # at this lr S3 and S4 diverge at step 6 while S0..S2 train through;
+        # those three groups took 83 s one after another on 2 vCPUs, and a
+        # pool that still ran them after the abort raised after 46 s
+        cfg = quick_cfg(lr=0.05, grl_schedule="constant", lr_schedule="constant",
+                        total_steps=20000, eval_every=20000)
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 1)
+        with pytest.raises(TrainingAborted) as in_process:
+            ablation_run(cfg, PAIR, [1, 2])
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 2)
+        t0 = time.perf_counter()
+        with pytest.raises(TrainingAborted) as pooled:
+            ablation_run(cfg, PAIR, [1, 2])
+        assert time.perf_counter() - t0 < 20
+        assert str(pooled.value) == str(in_process.value)
+        assert pooled.value.step == in_process.value.step == 6
+        assert multiprocessing.active_children() == []
 
     def test_table_shape_and_determinism(self):
         cfg = quick_cfg(total_steps=30, eval_every=15)
