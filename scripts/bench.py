@@ -15,8 +15,9 @@ metrics with their median and quartiles, the median of each per-layer
 metric, and, for every checkout after the first, its per-round wins over
 the first on each end-to-end metric and whether its median differs from
 the first's by more than the first's interquartile range. It also
-records the machine and the Python, numpy and OpenBLAS versions the runs
-reported. OPENBLAS_NUM_THREADS defaults to 1, as in run.py.
+records the machine, whether the runs write bytecode, and the Python,
+numpy and OpenBLAS versions the runs reported. OPENBLAS_NUM_THREADS
+defaults to 1, as in run.py.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ def main(argv=None) -> int:
             "usable_cpus": len(os.sched_getaffinity(0)),
             "cpu_model": _cpu_model(),
             "python": platform.python_version(),
+            # 1 when the runs write no bytecode: every benchmark process then
+            # compiles cycleadapt from source, which setup_s includes, and so
+            # does every spawned ladder worker
+            "dont_write_bytecode": _dont_write_bytecode(),
         },
         "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
         "checkouts": labels,
@@ -174,6 +179,15 @@ def main(argv=None) -> int:
             )
             print(f"{workload:10s} {name:12s} {stats}  ({vs})")
     return 0
+
+
+def _dont_write_bytecode() -> int:
+    """sys.flags.dont_write_bytecode in a Python started as the runs are."""
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"],
+        capture_output=True, text=True, check=True,
+    )
+    return int(probe.stdout)
 
 
 def _cpu_model() -> str:

@@ -19,7 +19,8 @@ Deliberate constraints, chosen for debuggability at desk scale:
   tensors of one shape, and ``mul`` also a Python number. ``sum`` and
   ``mean`` reduce every axis unless given ``axis``
 * any op that produces a non-finite value raises :class:`NonFiniteError`
-  naming the op, so adversarial-training blowups surface immediately.
+  naming the op, with numpy's floating-point warnings off, so
+  adversarial-training blowups surface immediately, and only once.
   Inside :func:`unchecked` these per-op checks are off; the training step
   uses it to check only its loss and its flat gradient, once per step, and
   replays the step's forward with checks on when either is non-finite, so
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -128,6 +129,22 @@ def unchecked():
             yield
     finally:
         _CHECK_FINITE = prev
+
+
+def _quiet(op):
+    """``op`` with numpy's floating-point warnings off while the per-op
+    checks are on, since the check reports a non-finite value itself.
+    Inside ``unchecked`` the warnings are off already and ``op`` runs as
+    it is."""
+
+    @functools.wraps(op)
+    def quiet_op(*args, **kwargs):
+        if not _CHECK_FINITE:
+            return op(*args, **kwargs)
+        with np.errstate(all="ignore"):
+            return op(*args, **kwargs)
+
+    return quiet_op
 
 
 def _check(data: Array, op: str) -> None:
@@ -225,11 +242,13 @@ class Tensor:
         for leaf, g in pending.items():
             leaf.grad = g if leaf.grad is None else leaf.grad + g
 
+    @_quiet
     def sum(self, axis=None) -> "Tensor":
         shape = self.shape
         out = np.asarray(self.data.sum(axis=axis))
         return _result(out, "sum", (self,), lambda g: (_spread(g, shape, axis),))
 
+    @_quiet
     def mean(self, axis=None) -> "Tensor":
         shape = self.shape
         out = np.asarray(self.data.mean(axis=axis))
@@ -267,16 +286,19 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
+@_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
+@_quiet
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
     return _result(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
+@_quiet
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with a tensor of the same shape, or scaling by a
     Python number."""
@@ -288,6 +310,7 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
 
 
+@_quiet
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
         raise DimensionError(f"matmul needs matrix operands, got {a.shape} and {b.shape}")
@@ -318,9 +341,6 @@ def sigmoid(x: Tensor) -> Tensor:
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 
-_KEEP_ERRSTATE = nullcontext()
-
-
 # the hidden-layer buffers of an mlp that records no graph: two per shape,
 # one per layer parity, so that a layer never writes over its own input
 @functools.lru_cache(maxsize=16)
@@ -328,6 +348,7 @@ def _scratch(shape: tuple[int, ...], slot: int) -> Array:
     return np.empty(shape)
 
 
+@_quiet
 def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     """A stack of affine layers with activation ``kind`` between them, as
     one graph node.
@@ -363,27 +384,25 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     last = len(ws) - 1
     inputs: list[Array] = []
     h = x.data
-    # the training step runs unchecked, where numpy's warnings are already off
-    with np.errstate(all="ignore") if _CHECK_FINITE else _KEEP_ERRSTATE:
-        for i, w in enumerate(ws):
-            if record:
-                inputs.append(h)
-                h = h @ w.mT
-            elif i < last:
-                h = np.matmul(h, w.mT, out=_scratch((*h.shape[:-1], w.shape[-2]), i % 2))
-            else:
-                h = h @ w.mT
-            h += bs[i]
-            _check(h, "linear")
-            if i == last:
-                break
-            if kind == "relu":
-                np.maximum(h, 0.0, out=h)
-            elif kind == "tanh":
-                np.tanh(h, out=h)
-            else:
-                h = _sigmoid_stable(h)
-            _check(h, kind)
+    for i, w in enumerate(ws):
+        if record:
+            inputs.append(h)
+            h = h @ w.mT
+        elif i < last:
+            h = np.matmul(h, w.mT, out=_scratch((*h.shape[:-1], w.shape[-2]), i % 2))
+        else:
+            h = h @ w.mT
+        h += bs[i]
+        _check(h, "linear")
+        if i == last:
+            break
+        if kind == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif kind == "tanh":
+            np.tanh(h, out=h)
+        else:
+            h = _sigmoid_stable(h)
+        _check(h, kind)
 
     def backward(g):
         grads: list[Array | None] = [None] * len(parents)
@@ -409,12 +428,13 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     return _node(h, "mlp", parents, backward)
 
 
+@_quiet
 def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        e = np.exp(x.data)
+    e = np.exp(x.data)
     return _result(e, "exp", (x,), lambda g: (g * e,))
 
 
+@_quiet
 def log_softmax(x: Tensor) -> Tensor:
     """Row-wise log softmax over a [..., batch, C] tensor, C >= 2, max-shifted."""
     if x.data.ndim < 2:
@@ -427,6 +447,7 @@ def log_softmax(x: Tensor) -> Tensor:
     return _result(out, "log_softmax", (x,), lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
 
 
+@_quiet
 def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
     """mean(clamp_min(log_sigmoid(z), floor)) over the trailing two axes,
     for z = x, or z = -x when ``negate``, as one graph node.
@@ -461,6 +482,7 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
     return _node(out, "mean_log_sigmoid", (x,), backward)
 
 
+@_quiet
 def row_outer(f: Tensor, p: Tensor) -> Tensor:
     """Row-wise flattened outer product: [n, df] x [n, dp] -> [n, df*dp]."""
     if f.data.ndim < 2 or f.data.ndim != p.data.ndim:

@@ -127,7 +127,9 @@ class ModelSuite:
         return self.replicas
 
 
-def build_suite(cfg: ArchConfig, seeds: Sequence[int] | None = None) -> ModelSuite:
+def build_suite(
+    cfg: ArchConfig, seeds: Sequence[int] | None = None, *, draw: bool = True
+) -> ModelSuite:
     """Initialize all seven networks deterministically from cfg.seed.
 
     Each network gets its own spawned RNG stream, so changing one width
@@ -135,12 +137,18 @@ def build_suite(cfg: ArchConfig, seeds: Sequence[int] | None = None) -> ModelSui
     of ``cfg`` under each seed are drawn as usual and stacked: every
     parameter and randomized map gains a leading replica axis, and
     ``replicas`` keeps the per-seed suites (see ``replica_views``).
+
+    With ``draw=False`` the weights are zeros instead of draws, for a
+    caller that fills them (``load_checkpoint``); the randomized maps,
+    which no checkpoint stores, are drawn all the same.
     """
     if seeds is not None:
-        return _stack_suites([build_suite(replace(cfg, seed=s)) for s in seeds], cfg)
+        members = [build_suite(replace(cfg, seed=s), draw=draw) for s in seeds]
+        return _stack_suites(members, cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(NETWORK_ORDER) + 1)
     rngs = {
-        name: np.random.default_rng(s) for name, s in zip(NETWORK_ORDER, streams)
+        name: np.random.default_rng(s) if draw else None
+        for name, s in zip(NETWORK_ORDER, streams)
     }
     act = cfg.hidden_activation
     dd_in = cfg.domain_disc_in_dim()

@@ -34,11 +34,13 @@ class LinearLayer:
 
 
 def init_linear(
-    in_dim: int, out_dim: int, scheme: str, rng: np.random.Generator
+    in_dim: int, out_dim: int, scheme: str, rng: np.random.Generator | None
 ) -> LinearLayer:
     """Uniform fan-based init; bias starts at zero.
 
     glorot_uniform: bound = sqrt(6 / (in + out)); he_uniform: sqrt(6 / in).
+    With ``rng`` None the weight starts at zero too, for a caller that
+    fills it.
     """
     if in_dim < 1 or out_dim < 1:
         raise ValueError(f"layer dims must be >= 1, got ({in_dim}, {out_dim})")
@@ -48,7 +50,8 @@ def init_linear(
         bound = np.sqrt(6.0 / in_dim)
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")
-    w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    shape = (out_dim, in_dim)
+    w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
     layer = LinearLayer(
         weight=Tensor(w, requires_grad=True),
         bias=Tensor(np.zeros(out_dim), requires_grad=True),
@@ -115,7 +118,7 @@ class Mlp:
 
 def make_mlp(
     dims: Sequence[int],
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     hidden_activation: str = "relu",
     output_activation: str = "none",
 ) -> Mlp:

@@ -9,6 +9,7 @@ import glob
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -263,7 +264,7 @@ def evaluate(suite: ModelSuite, x: np.ndarray, y: np.ndarray | None) -> float:
     n = len(x)
     blocks = max(n // EVAL_BLOCK, 1)
     pred = np.empty(n, dtype=np.intp)
-    with no_grad(), np.errstate(all="ignore"):
+    with no_grad():
         for i in range(blocks):
             lo, hi = i * n // blocks, (i + 1) * n // blocks
             _, p = predict(suite, Tensor(x[lo:hi]))
@@ -274,7 +275,7 @@ def evaluate(suite: ModelSuite, x: np.ndarray, y: np.ndarray | None) -> float:
 def domain_disc_mean_out(suite: ModelSuite, data: DomainPair, probe_n: int = 128) -> float:
     """Mean domain-discriminator output over a balanced source/target probe."""
     k = min(probe_n, len(data.x_s), len(data.x_t))
-    with no_grad(), np.errstate(all="ignore"):
+    with no_grad():
         outs = []
         for x in (data.x_s[:k], data.x_t[:k]):
             f, p = predict(suite, Tensor(x))
@@ -350,7 +351,7 @@ def _grl_step(
     are checked here and the flat gradient inside ``opt.step``, once each,
     before any parameter moves. If either is non-finite, the first replica
     whose loss or gradient is, is replayed alone on its per-seed view with
-    checks on (and numpy's warnings off), and ``_ReplicaFailed`` carries
+    checks on (which run with numpy's warnings off), and ``_ReplicaFailed`` carries
     what the replay raised: the op that went non-finite first, as a fully
     checked step would name it. A replay that passes leaves the
     optimizer's ``sgd_step`` error.
@@ -384,8 +385,8 @@ def _grl_step(
 
 
 def _replay(suite, x_s, y_s, x_t, weights, grl_coeff) -> None:
-    """The forward of a failed step with the per-op checks on, quietly."""
-    with no_grad(), np.errstate(all="ignore"):
+    """The forward of a failed step with the per-op checks on."""
+    with no_grad():
         total_loss(suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True)
 
 
@@ -583,23 +584,25 @@ def _openblas():
 
 
 def pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS
-    is set; silently nothing where it does not export
+    """Run numpy's bundled OpenBLAS on OPENBLAS_NUM_THREADS threads when
+    that is set to a positive count, and on one thread when it is unset;
+    silently nothing where the library does not export
     ``scipy_openblas_set_num_threads64_``.
 
     The package's own entry points (the CLI and the ladder's worker
     processes) call this: at the default sizes their gemms are small, and
     on a shared 2-vCPU machine a second thread made in-training evaluation
     about ten times slower. Wide runs can gain from more threads, so a
-    thread count set in the environment is kept; a library caller of
-    ``train`` keeps its own setting.
+    thread count set in the environment is kept. The count is set
+    explicitly even then, because a forked worker keeps its caller's
+    count instead of reading the variable. A library caller of ``train``
+    keeps its own setting.
     """
-    if "OPENBLAS_NUM_THREADS" in os.environ:
-        return
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "1")
     setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
-    if setter is not None:
+    if setter is not None and value.isdecimal() and int(value) > 0:
         setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
+        setter(int(value))
 
 
 def _usable_cpus() -> int:
@@ -612,14 +615,20 @@ def _usable_cpus() -> int:
 
 
 def _worker_pool(workers: int):
-    """Spawned worker processes, each started by ``pin_blas_threads``."""
+    """Worker processes, each started by ``pin_blas_threads``: forked on
+    Linux, spawned elsewhere."""
     # imported here, as only a pooled ladder needs them (they cost every
-    # other start about 20 ms); spawned, not forked, because the parent
-    # may already run BLAS threads
+    # other start about 20 ms). A forked worker starts in about 10 ms with
+    # this process's modules already imported; a spawned one boots an
+    # interpreter and imports numpy and cycleadapt again. Forking is safe
+    # although the caller may have run BLAS threads: numpy's bundled
+    # OpenBLAS is a pthreads build, which shuts its thread pool down at
+    # fork, and ProcessPoolExecutor forks all its workers before it starts
+    # its manager thread
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
     return ProcessPoolExecutor(workers, mp_context=context, initializer=pin_blas_threads)
 
 
@@ -638,7 +647,7 @@ def _ladder_group(
 
 
 def _pooled_groups(workers: int, jobs: list[tuple]) -> list:
-    """``_ladder_group`` of each job, in job order, on ``workers`` spawned
+    """``_ladder_group`` of each job, in job order, on ``workers`` worker
     processes. Jobs start in order, one per free worker; after the first
     failure no further job starts, the running ones finish, and the
     earliest failing job's error is raised, as a run in this process would.
@@ -671,10 +680,10 @@ def ablation_run(
     Each run reseeds both the architecture and the batch stream, so the
     whole table is reproducible end to end. Each mode trains all seeds as
     one replica group (see ``train``). The groups run on a pool of
-    min(modes, usable CPUs) spawned worker processes, which exit before
-    this returns or raises; with one CPU or one mode they run one after
-    another in this process. Either way the table, or the error of a
-    diverging group, is the same.
+    min(modes, usable CPUs) worker processes, forked on Linux and spawned
+    elsewhere, which exit before this returns or raises; with one CPU or
+    one mode they run one after another in this process. Either way the
+    table, or the error of a diverging group, is the same.
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
@@ -738,7 +747,9 @@ def save_checkpoint(suite: ModelSuite, cfg: TrainConfig, path, step: int = 0) ->
 
 
 def load_checkpoint(path) -> tuple[ModelSuite, TrainConfig, int]:
-    """Rebuild the suite from a checkpoint; round-trips parameters bitwise."""
+    """Rebuild the suite from a checkpoint; round-trips parameters bitwise.
+    Only the randomized maps are drawn, from the seed in the header; every
+    parameter comes from the file."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -760,7 +771,7 @@ def load_checkpoint(path) -> tuple[ModelSuite, TrainConfig, int]:
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: bad header: {err}") from None
 
-    suite = build_suite(cfg.arch)
+    suite = build_suite(cfg.arch, draw=False)
     params = suite.parameters()
     expected = sum(p.size for p in params)
     if declared != expected:
@@ -774,8 +785,7 @@ def load_checkpoint(path) -> tuple[ModelSuite, TrainConfig, int]:
         )
     offset = 0
     for p in params:
-        nbytes = p.size * 8
         chunk = np.frombuffer(blob, dtype="<f8", count=p.size, offset=offset)
-        p.data = chunk.reshape(p.shape).copy()
-        offset += nbytes
+        p.data[...] = chunk.reshape(p.shape)
+        offset += p.size * 8
     return suite, cfg, step

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleadapt.autodiff import (
@@ -295,6 +295,29 @@ class TestNanPolicy:
         with pytest.raises(NonFiniteError) as exc:
             exp(Tensor([1000.0]))
         assert exc.value.op == "exp"
+
+    @pytest.mark.parametrize("op, name", [
+        (lambda big: mul(big, big), "mul"),
+        (lambda big: mul(big, 10.0), "mul"),
+        (lambda big: add(big, big), "add"),
+        (lambda big: sub(big, Tensor(-big.data)), "sub"),
+        (lambda big: matmul(big, Tensor(big.data.T)), "matmul"),
+        (lambda big: row_outer(big, big), "row_outer"),
+        (lambda big: big.sum(), "sum"),
+        (lambda big: big.mean(), "mean"),
+        (lambda big: exp(big), "exp"),
+        (lambda big: log_softmax(Tensor(big.data * [[1.0, -1.0, 1.0]])), "log_softmax"),
+        # the negation is finite, but the sum its check takes overflows
+        (lambda big: mean_log_sigmoid(big, LOG_FLOOR, negate=True), "mul"),
+    ], ids=["mul", "mul_scalar", "add", "sub", "matmul", "row_outer", "sum", "mean", "exp",
+            "log_softmax", "mean_log_sigmoid"])
+    def test_checked_op_raises_with_no_numpy_warning(self, op, name):
+        big = Tensor(np.full((2, 3), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                op(big)
+        assert exc.value.op == name
 
     def test_non_finite_input_rejected_at_construction(self):
         with pytest.raises(NonFiniteError):
@@ -655,3 +678,144 @@ class TestReplicaAxis:
             mlp(Tensor(np.ones((3, 4))), [Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5)))], "relu")
         with pytest.raises(DimensionError):
             mean_log_sigmoid(Tensor(np.ones(3)), LOG_FLOOR)
+
+
+# ---------------------------------------------------------------------------
+# Every op against central differences, over random shapes with and without
+# a leading replica axis. grad_reversal is checked against its definition:
+# -coeff times the central differences of the identity.
+# ---------------------------------------------------------------------------
+
+
+def _central_differences(fn, tensors, eps=1e-5):
+    """The central-difference gradient of the scalar ``fn()`` for each tensor."""
+    out = []
+    for t in tensors:
+        flat = t.data.reshape(-1)
+        num = np.empty(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(fn().data)
+            flat[i] = orig - eps
+            lo = float(fn().data)
+            flat[i] = orig
+            num[i] = (hi - lo) / (2.0 * eps)
+        out.append(num.reshape(t.shape))
+    return out
+
+
+def _assert_matches_central_differences(build, arrays, rng, scale=1.0):
+    """The gradient of sum(w * build(tensors)) for a random w against its
+    central differences, times ``scale``, for every input array."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(tensors)
+    w = Tensor(rng.standard_normal(out.shape))
+    mul(out, w).sum().backward()
+    with no_grad():
+        numeric = _central_differences(lambda: mul(build(tensors), w).sum(), tensors)
+    for i, (t, num) in enumerate(zip(tensors, numeric)):
+        np.testing.assert_allclose(t.grad, scale * num, rtol=1e-5, atol=1e-7,
+                                   err_msg=f"gradient of input {i}")
+
+
+lead = st.sampled_from([(), (1,), (3,)])
+dims = st.integers(1, 4)
+seeds = st.integers(0, 2**16)
+
+
+class TestCentralDifferences:
+    @given(lead=lead, n=dims, d=dims, op=st.sampled_from(["add", "sub", "mul", "mul_scalar"]),
+           seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_elementwise(self, lead, n, d, op, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(lead + (n, d)) for _ in range(2)]
+        build = {
+            "add": lambda t: add(t[0], t[1]),
+            "sub": lambda t: sub(t[0], t[1]),
+            "mul": lambda t: mul(t[0], t[1]),
+            "mul_scalar": lambda t: mul(t[0], -1.7),
+        }[op]
+        _assert_matches_central_differences(build, arrays[:1] if op == "mul_scalar" else arrays, rng)
+
+    @given(lead=lead, n=dims, m=dims, p=dims, seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_matmul(self, lead, n, m, p, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(lead + (n, m)), rng.standard_normal(lead + (m, p))]
+        _assert_matches_central_differences(lambda t: matmul(t[0], t[1]), arrays, rng)
+
+    @given(lead=lead, n=dims, df=dims, dp=dims, seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_row_outer(self, lead, n, df, dp, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(lead + (n, df)), rng.standard_normal(lead + (n, dp))]
+        _assert_matches_central_differences(lambda t: row_outer(t[0], t[1]), arrays, rng)
+
+    @given(lead=lead, n=dims, c=st.integers(2, 5),
+           op=st.sampled_from(["sigmoid", "exp", "log_softmax"]), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_smooth_maps(self, lead, n, c, op, seed):
+        rng = np.random.default_rng(seed)
+        build = {"sigmoid": sigmoid, "exp": exp, "log_softmax": log_softmax}[op]
+        arrays = [rng.standard_normal(lead + (n, c)) * 2.0]
+        _assert_matches_central_differences(lambda t: build(t[0]), arrays, rng)
+
+    @given(lead=lead, n=dims, d=dims, mean=st.booleans(),
+           axis=st.sampled_from([None, -1, -2, (-2, -1)]), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_sum_and_mean(self, lead, n, d, mean, axis, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(lead + (n, d))]
+        build = (lambda t: t[0].mean(axis=axis)) if mean else (lambda t: t[0].sum(axis=axis))
+        _assert_matches_central_differences(build, arrays, rng)
+
+    @given(lead=lead, n=dims, c=st.integers(1, 5), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_gather_rows(self, lead, n, c, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, c, size=lead + (n,))
+        arrays = [rng.standard_normal(lead + (n, c))]
+        _assert_matches_central_differences(lambda t: gather_rows(t[0], labels), arrays, rng)
+
+    @given(lead=lead, n=dims, widths=st.lists(dims, min_size=2, max_size=4),
+           kind=st.sampled_from(["relu", "tanh", "sigmoid"]), seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_mlp(self, lead, n, widths, kind, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(lead + (n, widths[0]))]
+        for i, o in zip(widths[:-1], widths[1:]):
+            arrays += [rng.standard_normal(lead + (o, i)), rng.standard_normal(lead + (o,))]
+        if kind == "relu":
+            # a probe must not cross a kink: keep every hidden input away from 0
+            h = arrays[0]
+            for w, b in zip(arrays[1:-2:2], arrays[2:-2:2]):
+                z = h @ np.swapaxes(w, -1, -2) + b[..., None, :]
+                assume(np.abs(z).min() > 1e-3)
+                h = np.maximum(z, 0.0)
+        _assert_matches_central_differences(lambda t: mlp(t[0], t[1:], kind), arrays, rng)
+
+    @given(lead=lead, n=dims, d=dims, negate=st.booleans(),
+           floor=st.sampled_from([LOG_FLOOR, -1.0]), scale=st.sampled_from([1.0, 10.0]),
+           seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_mean_log_sigmoid(self, lead, n, d, negate, floor, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + (n, d)) * scale
+        # a probe must not cross the floor
+        z = -x if negate else x
+        ls = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+        assume(np.abs(ls - floor).min() > 1e-3)
+        _assert_matches_central_differences(
+            lambda t: mean_log_sigmoid(t[0], floor, negate=negate), [x], rng
+        )
+
+    @given(lead=lead, n=dims, d=dims, coeff=st.sampled_from([0.0, 0.3, 1.0, 2.5]), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_grad_reversal(self, lead, n, d, coeff, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(lead + (n, d))]
+        _assert_matches_central_differences(
+            lambda t: grad_reversal(t[0], coeff), arrays, rng, scale=-coeff
+        )

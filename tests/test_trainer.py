@@ -456,6 +456,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("threshold", [4096, 4], ids=["exact", "randomized"])
+    def test_load_draws_only_the_maps_and_gives_the_saved_suite(
+        self, tmp_path, monkeypatch, threshold
+    ):
+        arch = replace(quick_cfg().arch, feature_dim=8, cond_threshold=threshold,
+                       cond_randomized_dim=12)
+        cfg = replace(quick_cfg(), arch=arch)
+        suite = build_suite(arch)
+        path = tmp_path / "model.bin"
+        save_checkpoint(suite, cfg, path)
+        generators = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(*args):
+            generators.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        loaded, _, _ = load_checkpoint(path)
+        # one generator for the randomized maps, none for the networks
+        assert len(generators) == (suite.maps is not None)
+        for a, b in zip(suite.parameters(), loaded.parameters(), strict=True):
+            assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+        if suite.maps is None:
+            assert loaded.maps is None
+        else:
+            assert loaded.maps.seed == suite.maps.seed
+            assert loaded.maps.r_f.tobytes() == suite.maps.r_f.tobytes()
+            assert loaded.maps.r_p.tobytes() == suite.maps.r_p.tobytes()
+
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(b"\x00\x01\x02 not json\n junk")
@@ -650,6 +680,34 @@ class TestAblationRun:
         assert pooled.value.step == in_process.value.step == 6
         assert multiprocessing.active_children() == []
 
+    def test_pool_started_after_blas_threads_ran_gives_the_table(self, tmp_path):
+        # a large product starts OpenBLAS's threads before the pool starts
+        # its workers; the pooled ladder must still finish, give the
+        # in-process table and leave no worker behind
+        script = tmp_path / "pool_after_blas.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "import numpy as np\n"
+            "import cycleadapt.trainer as trainer\n"
+            "from cycleadapt.data import default_benchmark_pair\n"
+            "if __name__ == '__main__':\n"
+            "    a = np.random.default_rng(0).standard_normal((800, 800))\n"
+            "    a @ a\n"
+            "    pair = default_benchmark_pair(seed=21, n_per_domain=96)\n"
+            "    cfg = trainer.default_train_config(total_steps=30, eval_every=15, batch_size=16)\n"
+            "    trainer._usable_cpus = lambda: 2\n"
+            "    pooled = trainer.ablation_run(cfg, pair, [1, 2])\n"
+            "    print(multiprocessing.active_children())\n"
+            "    trainer._usable_cpus = lambda: 1\n"
+            "    print(pooled == trainer.ablation_run(cfg, pair, [1, 2]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(trainer_mod.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
     def test_table_shape_and_determinism(self):
         cfg = quick_cfg(total_steps=30, eval_every=15)
         t1 = ablation_run(cfg, PAIR, seeds=[1, 2])
@@ -766,7 +824,9 @@ class TestReplicaGroup:
             pytest.skip("numpy's bundled OpenBLAS is not available here")
         if (os.cpu_count() or 1) < 2:
             pytest.skip("OpenBLAS caps its thread count at the number of CPUs")
-        # a spawned worker reads its environment at start
+        # a forked worker keeps this process's thread count, whatever the
+        # variable said when OpenBLAS loaded here, so its initializer must
+        # set the count the variable names now
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         with _worker_pool(1) as ex:
             assert ex.submit(_blas_threads).result() == 1
