@@ -15,8 +15,10 @@ metrics with their median and quartiles, the median of each per-layer
 metric, and, for every checkout after the first, its per-round wins over
 the first on each end-to-end metric and whether its median differs from
 the first's by more than the first's interquartile range. It also
-records the machine, whether the runs write bytecode, and the Python,
-numpy and OpenBLAS versions the runs reported. OPENBLAS_NUM_THREADS
+records the machine, whether the runs write bytecode, the Python, numpy
+and OpenBLAS versions the runs reported, and each checkout's line count
+of ``src/`` Python files (``src_lines``), so that a change's size and
+its benchmark delta come from one run. OPENBLAS_NUM_THREADS
 defaults to 1, as in run.py.
 """
 
@@ -120,6 +122,7 @@ def main(argv=None) -> int:
         },
         "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
         "checkouts": labels,
+        "src_lines": {label: _src_lines(d) for label, d in zip(labels, dirs)},
         "versions": {},
         "workloads": {},
     }
@@ -170,6 +173,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=False)
         fh.write("\n")
+    print("src_lines " + "  ".join(f"{lb} {n}" for lb, n in result["src_lines"].items()))
     for workload, entry in result["workloads"].items():
         for name, m in entry["end_to_end"].items():
             stats = "  ".join(f"{lb} {m['stats'][lb]['median']:.6g}" for lb in labels)
@@ -179,6 +183,17 @@ def main(argv=None) -> int:
             )
             print(f"{workload:10s} {name:12s} {stats}  ({vs})")
     return 0
+
+
+def _src_lines(checkout: str) -> int:
+    """Lines of the ``.py`` files under the checkout's ``src/``."""
+    total = 0
+    for root, _, files in os.walk(os.path.join(checkout, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def _dont_write_bytecode() -> int:

@@ -4,7 +4,7 @@ cycle-consistent feature translation, runnable at desk scale."""
 __version__ = "0.1.0"
 
 from .autodiff import Tensor, finite_diff_check, grad_reversal, no_grad
-from .conditioning import ConditioningPolicy, RandomizedMaps, condition
+from .conditioning import RandomizedMaps, condition
 from .data import DomainPair, ShiftSpec, gen_gaussian_shift_pair, gen_two_moons_pair
 from .losses import LossBreakdown, LossWeights, resolve_weights, total_loss
 from .models import ArchConfig, ModelSuite, build_suite, predict
@@ -27,7 +27,6 @@ __all__ = [
     "finite_diff_check",
     "grad_reversal",
     "no_grad",
-    "ConditioningPolicy",
     "RandomizedMaps",
     "condition",
     "DomainPair",

@@ -3,6 +3,8 @@
 Two strategies, picked by output size: the exact flattened outer product of
 feature and prediction vectors, or a randomized multilinear map that keeps
 inner products in expectation when the exact product would be too wide.
+``models.build_suite`` picks one per suite; a suite conditions randomly
+exactly when it holds ``RandomizedMaps``.
 """
 
 from __future__ import annotations
@@ -11,10 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, matmul, mul, row_outer
-
-DEFAULT_THRESHOLD = 4096
-DEFAULT_RANDOMIZED_DIM = 1024
+from .autodiff import Tensor, matmul, mul, row_outer
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,6 @@ class RandomizedMaps:
     def out_dim(self) -> int:
         return self.r_f.shape[-2]
 
-    @property
-    def dim_f(self) -> int:
-        return self.r_f.shape[-1]
-
-    @property
-    def dim_p(self) -> int:
-        return self.r_p.shape[-1]
-
 
 def build_randomized_maps(dim_f: int, dim_p: int, d: int, seed: int) -> RandomizedMaps:
     if min(dim_f, dim_p, d) < 1:
@@ -61,74 +52,28 @@ def build_randomized_maps(dim_f: int, dim_p: int, d: int, seed: int) -> Randomiz
     return RandomizedMaps(r_f=r_f, r_p=r_p, seed=seed)
 
 
-@dataclass(frozen=True)
-class ConditioningPolicy:
-    """Dispatch rule: exact outer product while dim_f*dim_p <= threshold,
-    randomized map of width ``randomized_dim`` beyond it."""
-
-    threshold: int = DEFAULT_THRESHOLD
-    randomized_dim: int = DEFAULT_RANDOMIZED_DIM
-    detach_predictions: bool = False
+def uses_randomized(dim_f: int, dim_p: int, threshold: int) -> bool:
+    """Exact outer product while dim_f*dim_p <= threshold, randomized beyond."""
+    return dim_f * dim_p > threshold
 
 
-def uses_randomized(dim_f: int, dim_p: int, policy: ConditioningPolicy) -> bool:
-    return dim_f * dim_p > policy.threshold
-
-
-def conditioned_width(dim_f: int, dim_p: int, policy: ConditioningPolicy) -> int:
-    if uses_randomized(dim_f, dim_p, policy):
-        return policy.randomized_dim
+def conditioned_width(dim_f: int, dim_p: int, threshold: int, randomized_dim: int) -> int:
+    if uses_randomized(dim_f, dim_p, threshold):
+        return randomized_dim
     return dim_f * dim_p
-
-
-def multilinear_condition(f: Tensor, p: Tensor) -> Tensor:
-    """Row-wise flattened outer product of features and predictions.
-
-    Callers are expected to pass probability rows for ``p``; the map itself
-    is bilinear in both arguments and gradients flow into each.
-    """
-    if f.data.ndim < 2 or p.data.ndim < 2:
-        raise DimensionError(
-            f"multilinear_condition needs [..., batch, df] and [..., batch, dp], "
-            f"got {f.shape} and {p.shape}"
-        )
-    return row_outer(f, p)
 
 
 def randomized_condition(f: Tensor, p: Tensor, maps: RandomizedMaps) -> Tensor:
     """(1/sqrt(d)) * (f R_f^T) elementwise* (p R_p^T), row by row."""
-    if f.data.ndim < 2 or p.data.ndim < 2:
-        raise DimensionError(
-            f"randomized_condition needs matrix inputs, got {f.shape} and {p.shape}"
-        )
-    if f.shape[-1] != maps.dim_f or p.shape[-1] != maps.dim_p:
-        raise DimensionError(
-            f"map dims ({maps.dim_f}, {maps.dim_p}) do not match "
-            f"inputs ({f.shape[-1]}, {p.shape[-1]})"
-        )
     proj_f = matmul(f, maps.r_f_t)
     proj_p = matmul(p, maps.r_p_t)
     return mul(mul(proj_f, proj_p), 1.0 / np.sqrt(maps.out_dim))
 
 
-def condition(
-    f: Tensor,
-    p: Tensor,
-    policy: ConditioningPolicy,
-    maps: RandomizedMaps | None = None,
-) -> Tensor:
-    """Apply the policy's branch to a batch of (feature, prediction) rows."""
-    if policy.detach_predictions:
-        p = p.detach()
-    if uses_randomized(f.shape[-1], p.shape[-1], policy):
-        if maps is None:
-            raise ValueError(
-                "randomized conditioning selected but no RandomizedMaps supplied"
-            )
-        if maps.out_dim != policy.randomized_dim:
-            raise DimensionError(
-                f"maps width {maps.out_dim} != policy randomized_dim "
-                f"{policy.randomized_dim}"
-            )
-        return randomized_condition(f, p, maps)
-    return multilinear_condition(f, p)
+def condition(f: Tensor, p: Tensor, maps: RandomizedMaps | None = None) -> Tensor:
+    """Condition a batch of (feature, prediction) rows: the row-wise
+    flattened outer product without ``maps``, the randomized map with them.
+    The map is bilinear in both arguments and gradients flow into each."""
+    if maps is None:
+        return row_outer(f, p)
+    return randomized_condition(f, p, maps)

@@ -37,7 +37,7 @@ from .autodiff import (
     row_outer,
     sub,
 )
-from .conditioning import ConditioningPolicy, build_randomized_maps, condition
+from .conditioning import build_randomized_maps, condition
 from .losses import (
     LossWeights,
     cross_entropy,
@@ -148,21 +148,19 @@ def _check_cross_entropy(seed: int, eps: float, tol: float) -> GradCheckReport:
 def _check_conditioning_exact(seed: int, eps: float, tol: float) -> GradCheckReport:
     rng = _rng(seed, 12)
     f, p = _t(rng, 3, 5), _t(rng, 3, 3)
-    policy = ConditioningPolicy(threshold=4096)
     w = Tensor(rng.standard_normal((3, 15)))
     return finite_diff_check(
-        lambda: mul(condition(f, p, policy), w).sum(), [f, p], eps, tol, ["f", "p"]
+        lambda: mul(condition(f, p), w).sum(), [f, p], eps, tol, ["f", "p"]
     )
 
 
 def _check_conditioning_randomized(seed: int, eps: float, tol: float) -> GradCheckReport:
     rng = _rng(seed, 13)
     f, p = _t(rng, 3, 5), _t(rng, 3, 3)
-    policy = ConditioningPolicy(threshold=8, randomized_dim=16)
     maps = build_randomized_maps(5, 3, 16, seed=seed + 99)
     w = Tensor(rng.standard_normal((3, 16)))
     return finite_diff_check(
-        lambda: mul(condition(f, p, policy, maps), w).sum(), [f, p], eps, tol, ["f", "p"]
+        lambda: mul(condition(f, p, maps), w).sum(), [f, p], eps, tol, ["f", "p"]
     )
 
 

@@ -60,6 +60,11 @@ class LossWeights:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"loss weight {name} must be nonnegative")
 
+    @property
+    def needs_target(self) -> bool:
+        """Whether any active term reads a target batch."""
+        return self.lam > 0.0 or self.eta1 > 0.0 or self.eta2 > 0.0
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -222,9 +227,8 @@ def total_loss(
     log_p_s = suite.predictor(f_s)
     l_cls = cross_entropy(log_p_s, y_s)
 
-    need_target = weights.lam > 0.0 or weights.eta1 > 0.0 or weights.eta2 > 0.0
     f_t = None
-    if need_target:
+    if weights.needs_target:
         if batch_t is None:
             raise ValueError("active loss weights need a target batch")
         f_t = suite.features(batch_t)

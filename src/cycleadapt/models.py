@@ -15,7 +15,6 @@ import numpy as np
 
 from .autodiff import ACTIVATIONS, DimensionError, Tensor, exp
 from .conditioning import (
-    ConditioningPolicy,
     RandomizedMaps,
     build_randomized_maps,
     condition,
@@ -78,15 +77,10 @@ class ArchConfig:
                 f"got {self.cond_threshold}"
             )
 
-    def policy(self) -> ConditioningPolicy:
-        return ConditioningPolicy(
-            threshold=self.cond_threshold,
-            randomized_dim=self.cond_randomized_dim,
-            detach_predictions=self.detach_predictions,
-        )
-
     def domain_disc_in_dim(self) -> int:
-        return conditioned_width(self.feature_dim, self.num_classes, self.policy())
+        return conditioned_width(
+            self.feature_dim, self.num_classes, self.cond_threshold, self.cond_randomized_dim
+        )
 
 
 @dataclass
@@ -114,7 +108,9 @@ class ModelSuite:
         return sum(p.size for p in self.parameters())
 
     def condition(self, f: Tensor, p: Tensor) -> Tensor:
-        return condition(f, p, self.arch.policy(), self.maps)
+        if self.arch.detach_predictions:
+            p = p.detach()
+        return condition(f, p, self.maps)
 
     def replica_views(self) -> tuple["ModelSuite", ...]:
         """The per-seed suites of a stacked suite, each parameter pointed
@@ -133,7 +129,10 @@ def build_suite(
     """Initialize all seven networks deterministically from cfg.seed.
 
     Each network gets its own spawned RNG stream, so changing one width
-    leaves the other networks' draws untouched. With ``seeds``, the suites
+    leaves the other networks' draws untouched. The conditioning branch
+    is fixed here: the suite holds randomized maps, and ``condition`` uses
+    them, exactly when ``feature_dim * num_classes`` exceeds
+    ``cfg.cond_threshold``. With ``seeds``, the suites
     of ``cfg`` under each seed are drawn as usual and stacked: every
     parameter and randomized map gains a leading replica axis, and
     ``replicas`` keeps the per-seed suites (see ``replica_views``).
@@ -208,7 +207,7 @@ def build_suite(
         maps=None,
         arch=cfg,
     )
-    if uses_randomized(cfg.feature_dim, cfg.num_classes, cfg.policy()):
+    if uses_randomized(cfg.feature_dim, cfg.num_classes, cfg.cond_threshold):
         maps_seed = int(streams[-1].generate_state(1)[0])
         suite.maps = build_randomized_maps(
             cfg.feature_dim, cfg.num_classes, cfg.cond_randomized_dim, maps_seed

@@ -459,8 +459,7 @@ def train(
         raise ValueError("a replica group needs seeds; only a group of one takes a metrics_path")
     suite = build_suite(cfg.arch, [c.arch.seed for c in cfgs])
     weights = resolve_weights(cfg.ablation_mode, cfg.weights)
-    need_target = weights.lam > 0.0 or weights.eta1 > 0.0 or weights.eta2 > 0.0
-    streams = [_streams(c, data, need_target) for c in cfgs]
+    streams = [_streams(c, data, weights.needs_target) for c in cfgs]
 
     opt = Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
     views = suite.replica_views()  # after Sgd, which rebinds the parameters
@@ -479,7 +478,7 @@ def train(
             y_s = data.y_s[idx_s]
             x_t = (
                 Tensor(data.x_t[np.stack([tgt.next() for _, tgt in streams])])
-                if need_target
+                if weights.needs_target
                 else None
             )
 
@@ -488,10 +487,6 @@ def train(
                     suite, opt, x_s, y_s, x_t, weights,
                     _grl_coeff(cfg.grl_schedule, progress),
                 )
-            except NonFiniteError as err:
-                raise TrainingAborted(
-                    f"aborted at step {step}: {err}", last[0], step
-                ) from err
             except _ReplicaFailed as failed:
                 k = failed.index
                 raise TrainingAborted(

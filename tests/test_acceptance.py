@@ -17,15 +17,14 @@ import pytest
 
 from cycleadapt.autodiff import Tensor
 from cycleadapt.conditioning import (
-    ConditioningPolicy,
     build_randomized_maps,
+    condition,
     conditioned_width,
-    multilinear_condition,
-    randomized_condition,
     uses_randomized,
 )
 from cycleadapt.data import default_benchmark_pair
 from cycleadapt.gradcheck import COMPONENTS, run_components
+from cycleadapt.models import ArchConfig
 from cycleadapt.trainer import (
     ABLATION_MODES,
     ablation_run,
@@ -104,8 +103,8 @@ def test_criterion_2_conditioning_laws():
         df, dp = int(rng.integers(2, 24)), int(rng.integers(2, 12))
         f, f2 = rng.standard_normal((2, df))
         p, p2 = rng.standard_normal((2, dp))
-        a = multilinear_condition(Tensor(f[None]), Tensor(p[None])).data[0]
-        b = multilinear_condition(Tensor(f2[None]), Tensor(p2[None])).data[0]
+        a = condition(Tensor(f[None]), Tensor(p[None])).data[0]
+        b = condition(Tensor(f2[None]), Tensor(p2[None])).data[0]
         assert a.shape == (df * dp,)
         lhs = float(a @ b)
         rhs = float((f @ f2) * (p @ p2))
@@ -125,7 +124,7 @@ def test_criterion_2_conditioning_laws():
     pb = Tensor(np.stack([p, p2]))
     for i in range(draws):
         maps = build_randomized_maps(df, dp, d, seed=50_000 + i)
-        proj = randomized_condition(fb, pb, maps).data
+        proj = condition(fb, pb, maps).data
         samples[i] = float(proj[0] @ proj[1])
     rel_err = abs(samples.mean() - exact) / abs(exact)
     assert rel_err < 0.05, f"MC mean off by {rel_err:.3%}"
@@ -141,7 +140,8 @@ def test_criterion_2_conditioning_laws():
 
 
 def test_criterion_3_dispatch_threshold():
-    policy = ConditioningPolicy()
+    arch = ArchConfig(input_dim=2, num_classes=2)  # the default threshold and width
+    threshold, randomized_dim = arch.cond_threshold, arch.cond_randomized_dim
     cases = [
         (64, 64, False),   # 4096 -> exact
         (64, 65, True),    # 4160 -> randomized
@@ -152,9 +152,9 @@ def test_criterion_3_dispatch_threshold():
         (2, 2049, True),
     ]
     for df, dp, expect_random in cases:
-        assert uses_randomized(df, dp, policy) is expect_random, (df, dp)
-        width = conditioned_width(df, dp, policy)
-        assert width == (policy.randomized_dim if expect_random else df * dp)
+        assert uses_randomized(df, dp, threshold) is expect_random, (df, dp)
+        width = conditioned_width(df, dp, threshold, randomized_dim)
+        assert width == (randomized_dim if expect_random else df * dp)
     _ok("criterion 3", f"{len(cases)} boundary cases straddling 4096 dispatch correctly")
 
 

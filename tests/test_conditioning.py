@@ -5,31 +5,33 @@ from hypothesis import strategies as st
 
 from cycleadapt.autodiff import DimensionError, Tensor
 from cycleadapt.conditioning import (
-    ConditioningPolicy,
     build_randomized_maps,
     condition,
     conditioned_width,
-    multilinear_condition,
     randomized_condition,
     uses_randomized,
 )
+from cycleadapt.models import ArchConfig, build_suite
+
+DEFAULTS = ArchConfig(input_dim=2, num_classes=2)
+THRESHOLD, RANDOMIZED_DIM = DEFAULTS.cond_threshold, DEFAULTS.cond_randomized_dim
 
 
 class TestMultilinear:
     def test_definition(self):
-        out = multilinear_condition(Tensor([[1.0, 2.0]]), Tensor([[0.75, 0.25]]))
+        out = condition(Tensor([[1.0, 2.0]]), Tensor([[0.75, 0.25]]))
         np.testing.assert_allclose(out.data, [[0.75, 0.25, 1.5, 0.5]])
 
     def test_one_hot_places_features_in_class_block(self):
         f = np.array([[2.0, -1.0, 3.0]])
         p = np.array([[0.0, 1.0]])  # one-hot at class 1
-        out = multilinear_condition(Tensor(f), Tensor(p)).data[0]
+        out = condition(Tensor(f), Tensor(p)).data[0]
         blocks = out.reshape(3, 2)
         np.testing.assert_array_equal(blocks[:, 1], f[0])
         np.testing.assert_array_equal(blocks[:, 0], np.zeros(3))
 
     def test_batch_shape(self):
-        out = multilinear_condition(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))))
+        out = condition(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))))
         assert out.shape == (3, 20)
 
 
@@ -102,64 +104,79 @@ class TestRandomized:
 
 class TestDispatch:
     def test_640_takes_exact_branch(self):
-        policy = ConditioningPolicy()
-        assert not uses_randomized(64, 10, policy)
-        assert conditioned_width(64, 10, policy) == 640
+        assert not uses_randomized(64, 10, THRESHOLD)
+        assert conditioned_width(64, 10, THRESHOLD, RANDOMIZED_DIM) == 640
 
     def test_15872_takes_randomized_branch(self):
-        policy = ConditioningPolicy(randomized_dim=1024)
-        assert uses_randomized(512, 31, policy)
-        assert conditioned_width(512, 31, policy) == 1024
+        assert uses_randomized(512, 31, THRESHOLD)
+        assert conditioned_width(512, 31, THRESHOLD, 1024) == 1024
 
     def test_boundary_4096_is_exact(self):
-        policy = ConditioningPolicy()
-        assert not uses_randomized(64, 64, policy)
-        assert uses_randomized(64, 65, policy)
+        assert not uses_randomized(64, 64, THRESHOLD)
+        assert uses_randomized(64, 65, THRESHOLD)
 
     def test_threshold_override(self):
-        policy = ConditioningPolicy(threshold=10)
-        assert not uses_randomized(4, 2, policy)  # 8 <= 10
-        assert uses_randomized(4, 3, policy)  # 12 > 10
+        assert not uses_randomized(4, 2, 10)  # 8 <= 10
+        assert uses_randomized(4, 3, 10)  # 12 > 10
 
-    def test_condition_uses_policy(self):
+    def test_condition_follows_maps(self):
         f = Tensor(np.random.default_rng(0).standard_normal((2, 4)))
         p = Tensor(np.full((2, 3), 1.0 / 3.0))
-        exact = condition(f, p, ConditioningPolicy(threshold=12))
+        exact = condition(f, p)
         assert exact.shape == (2, 12)
         maps = build_randomized_maps(4, 3, 7, seed=1)
-        rand = condition(f, p, ConditioningPolicy(threshold=11, randomized_dim=7), maps)
+        rand = condition(f, p, maps)
         assert rand.shape == (2, 7)
-
-    def test_randomized_without_maps_is_an_error(self):
-        f = Tensor(np.ones((1, 4)))
-        p = Tensor(np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            condition(f, p, ConditioningPolicy(threshold=11))
+        np.testing.assert_array_equal(rand.data, randomized_condition(f, p, maps).data)
 
     @given(df=st.integers(1, 80), dp=st.integers(2, 80))
     @settings(max_examples=50, deadline=None)
     def test_dispatch_is_pure_in_dims(self, df, dp):
-        policy = ConditioningPolicy()
-        first = uses_randomized(df, dp, policy)
-        assert first == uses_randomized(df, dp, policy)
-        assert first == (df * dp > policy.threshold)
+        first = uses_randomized(df, dp, THRESHOLD)
+        assert first == uses_randomized(df, dp, THRESHOLD)
+        assert first == (df * dp > THRESHOLD)
+
+
+def _arch(randomized: bool, **kw) -> ArchConfig:
+    """feature_dim * num_classes = 12, at the threshold or one past it."""
+    return ArchConfig(
+        input_dim=2, num_classes=3, feature_dim=4,
+        cond_threshold=11 if randomized else 12, cond_randomized_dim=7, **kw,
+    )
+
+
+class TestSuiteDecision:
+    @pytest.mark.parametrize("randomized", [False, True], ids=["exact", "randomized"])
+    def test_build_suite_fixes_the_branch(self, randomized):
+        arch = _arch(randomized)
+        suite = build_suite(arch)
+        assert (suite.maps is not None) is randomized
+        assert (build_suite(arch, seeds=[1, 2]).maps is not None) is randomized
+        assert suite.domain_disc.layers[0].in_dim == arch.domain_disc_in_dim()
+        rng = np.random.default_rng(0)
+        f = Tensor(rng.standard_normal((5, 4)))
+        p = Tensor(np.full((5, 3), 1.0 / 3.0))
+        out = suite.condition(f, p)
+        assert out.shape == (5, arch.domain_disc_in_dim())
+        assert out.shape[-1] == (7 if randomized else 12)
 
 
 class TestGradientFlow:
     def test_gradients_reach_both_inputs(self):
         f = Tensor(np.random.default_rng(0).standard_normal((2, 3)), requires_grad=True)
         p = Tensor(np.full((2, 2), 0.5), requires_grad=True)
-        condition(f, p, ConditioningPolicy()).sum().backward()
+        condition(f, p).sum().backward()
         assert f.grad is not None and p.grad is not None
         assert np.abs(p.grad).max() > 0
 
     def test_detach_predictions_blocks_p(self):
-        f = Tensor(np.ones((2, 3)), requires_grad=True)
-        p = Tensor(np.full((2, 2), 0.5), requires_grad=True)
-        policy = ConditioningPolicy(detach_predictions=True)
-        condition(f, p, policy).sum().backward()
-        assert f.grad is not None
-        assert p.grad is None
+        for randomized in (False, True):
+            suite = build_suite(_arch(randomized, detach_predictions=True))
+            f = Tensor(np.ones((2, 4)), requires_grad=True)
+            p = Tensor(np.full((2, 3), 1.0 / 3.0), requires_grad=True)
+            suite.condition(f, p).sum().backward()
+            assert f.grad is not None
+            assert p.grad is None
 
     def test_maps_are_not_trainable(self):
         maps = build_randomized_maps(3, 2, 5, seed=4)

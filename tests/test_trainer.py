@@ -98,16 +98,17 @@ class TestTrainBasics:
         calls = {"n": 0}
         real = losses_mod.total_loss
 
-        def exploding(*args, **kwargs):
+        def exploding(suite, *args, **kwargs):
             calls["n"] += 1
-            if calls["n"] >= 3:
-                raise NonFiniteError("mul", "injected blowup")
-            return real(*args, **kwargs)
+            if calls["n"] == 3:
+                suite.features.layers[0].weight.data.flat[0] = np.inf
+            return real(suite, *args, **kwargs)
 
         monkeypatch.setattr("cycleadapt.trainer.total_loss", exploding)
         with pytest.raises(TrainingAborted) as exc:
             train(quick_cfg(), PAIR)
         assert exc.value.step == 3
+        assert str(exc.value).startswith("aborted at step 3 (seed 5): non-finite value")
         assert exc.value.last_breakdown is not None
 
     def test_non_finite_gradient_with_finite_loss_moves_no_parameter(self, monkeypatch):
