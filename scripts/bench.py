@@ -17,8 +17,9 @@ the first on each end-to-end metric and whether its median differs from
 the first's by more than the first's interquartile range. It also
 records the machine, whether the runs write bytecode, the Python, numpy
 and OpenBLAS versions the runs reported, and each checkout's line count
-of ``src/`` Python files (``src_lines``), so that a change's size and
-its benchmark delta come from one run. OPENBLAS_NUM_THREADS
+of ``src/`` Python files, in all (``src_lines``) and per file
+(``src_lines_by_file``), so that a change's size and its benchmark delta
+come from one run. OPENBLAS_NUM_THREADS
 defaults to 1, as in run.py.
 """
 
@@ -101,6 +102,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    by_file = {label: _src_lines_by_file(d) for label, d in zip(labels, dirs)}
 
     result = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -122,7 +124,8 @@ def main(argv=None) -> int:
         },
         "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
         "checkouts": labels,
-        "src_lines": {label: _src_lines(d) for label, d in zip(labels, dirs)},
+        "src_lines": {label: sum(lines.values()) for label, lines in by_file.items()},
+        "src_lines_by_file": by_file,
         "versions": {},
         "workloads": {},
     }
@@ -185,15 +188,18 @@ def main(argv=None) -> int:
     return 0
 
 
-def _src_lines(checkout: str) -> int:
-    """Lines of the ``.py`` files under the checkout's ``src/``."""
-    total = 0
-    for root, _, files in os.walk(os.path.join(checkout, "src")):
+def _src_lines_by_file(checkout: str) -> dict[str, int]:
+    """Lines of each ``.py`` file under the checkout's ``src/``, keyed by
+    its path relative to ``src/``, in sorted order."""
+    src = os.path.join(checkout, "src")
+    lines = {}
+    for root, _, files in os.walk(src):
         for name in files:
             if name.endswith(".py"):
-                with open(os.path.join(root, name), "rb") as fh:
-                    total += fh.read().count(b"\n")
-    return total
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    lines[os.path.relpath(path, src)] = fh.read().count(b"\n")
+    return dict(sorted(lines.items()))
 
 
 def _dont_write_bytecode() -> int:

@@ -377,10 +377,7 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     parents = (x, *params)
     record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     ws = [w.data for w in weights]
-    if w0.ndim == 2:
-        bs = [b.data for b in biases]
-    else:
-        bs = [b.data[..., None, :] for b in biases]
+    bs = [b.data[..., None, :] for b in biases]
     last = len(ws) - 1
     inputs: list[Array] = []
     h = x.data

@@ -230,10 +230,10 @@ def _check_loss(
         f_s = suite.features(x_s)
         f_t = suite.features(x_t)
         if term == "classification":
-            return cross_entropy(suite.predictor(f_s), y_s)
+            return cross_entropy(suite.log_probs(f_s), y_s)
         if term == "domain":
-            p_s = exp(suite.predictor(f_s))
-            p_t = exp(suite.predictor(f_t))
+            p_s = exp(suite.log_probs(f_s))
+            p_t = exp(suite.log_probs(f_t))
             return domain_adversarial_loss(
                 suite, f_s, p_s, f_t, p_t, rig_minimax=False
             )
@@ -275,9 +275,9 @@ def _check_total(seed: int, eps: float, tol: float) -> GradCheckReport:
     def fn() -> Tensor:
         f_s = suite.features(x_s)
         f_t = suite.features(x_t)
-        p_s = exp(suite.predictor(f_s))
-        p_t = exp(suite.predictor(f_t))
-        total = cross_entropy(suite.predictor(f_s), y_s)
+        p_s = exp(suite.log_probs(f_s))
+        p_t = exp(suite.log_probs(f_t))
+        total = cross_entropy(suite.log_probs(f_s), y_s)
         total = add(
             total,
             mul(domain_adversarial_loss(suite, f_s, p_s, f_t, p_t, rig_minimax=False), w.lam),

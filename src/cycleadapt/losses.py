@@ -165,7 +165,7 @@ def translation_loss_s2t(
     adv = adversarial_pair(suite.target_disc, f_t, f_fake, grl_coeff, rig_minimax)
     if weights.beta == 0.0:
         return adv
-    ce = cross_entropy(suite.predictor(f_fake), y_s)
+    ce = cross_entropy(suite.log_probs(f_fake), y_s)
     return add(adv, mul(ce, weights.beta))
 
 
@@ -224,7 +224,7 @@ def total_loss(
     """
     x_s, y_s = batch_s
     f_s = suite.features(x_s)
-    log_p_s = suite.predictor(f_s)
+    log_p_s = suite.log_probs(f_s)
     l_cls = cross_entropy(log_p_s, y_s)
 
     f_t = None
@@ -238,7 +238,7 @@ def total_loss(
 
     if weights.lam > 0.0:
         p_s = exp(log_p_s)
-        p_t = exp(suite.predictor(f_t))
+        p_t = exp(suite.log_probs(f_t))
         l_dom = domain_adversarial_loss(
             suite, f_s, p_s, f_t, p_t, grl_coeff, rig_minimax
         )

@@ -4,6 +4,9 @@ The suite holds a feature learner, a class predictor, a domain
 discriminator over conditioned features, two feature translators (one per
 direction), and one sample discriminator per domain. Translators map the
 feature space onto itself so the round-trip composition is well typed.
+``ArchConfig.layer_dims`` declares every network's layer widths. Each
+network returns its last layer's raw output; the one head the model
+applies, the predictor's log-softmax, is ``ModelSuite.log_probs``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, DimensionError, Tensor, exp
+from .autodiff import ACTIVATIONS, DimensionError, Tensor, exp, log_softmax
 from .conditioning import (
     RandomizedMaps,
     build_randomized_maps,
@@ -82,12 +85,27 @@ class ArchConfig:
             self.feature_dim, self.num_classes, self.cond_threshold, self.cond_randomized_dim
         )
 
+    def layer_dims(self) -> dict[str, tuple[int, ...]]:
+        """Each network's chain of widths (in, hidden..., out), keyed in
+        NETWORK_ORDER."""
+        f, fh, dh = self.feature_dim, self.feature_hidden, self.domain_disc_hidden
+        th, sh = self.translator_hidden, self.sample_disc_hidden
+        return {
+            "features": (self.input_dim, fh, fh, f),
+            "predictor": (f, self.num_classes),
+            "domain_disc": (self.domain_disc_in_dim(), dh, dh, 1),
+            "s2t": (f, th, th, th, f),
+            "t2s": (f, th, th, th, f),
+            "source_disc": (f, sh, sh, 1),
+            "target_disc": (f, sh, sh, 1),
+        }
+
 
 @dataclass
 class ModelSuite:
     features: Mlp  # input -> feature space
-    predictor: Mlp  # feature -> class log-probabilities
-    domain_disc: Mlp  # conditioned feature -> domain logit (sigmoid head)
+    predictor: Mlp  # feature -> class logits (see log_probs)
+    domain_disc: Mlp  # conditioned feature -> domain logit
     s2t: Mlp  # source-style feature -> target-style feature
     t2s: Mlp
     source_disc: Mlp  # feature -> "is a real source feature" logit
@@ -106,6 +124,11 @@ class ModelSuite:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
+
+    def log_probs(self, f: Tensor) -> Tensor:
+        """Class log-probabilities of features f: the predictor's
+        log-softmax head."""
+        return log_softmax(self.predictor(f))
 
     def condition(self, f: Tensor, p: Tensor) -> Tensor:
         if self.arch.detach_predictions:
@@ -145,74 +168,20 @@ def build_suite(
         members = [build_suite(replace(cfg, seed=s), draw=draw) for s in seeds]
         return _stack_suites(members, cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(NETWORK_ORDER) + 1)
-    rngs = {
-        name: np.random.default_rng(s) if draw else None
+    dims = cfg.layer_dims()
+    nets = {
+        name: make_mlp(
+            dims[name], np.random.default_rng(s) if draw else None, cfg.hidden_activation
+        )
         for name, s in zip(NETWORK_ORDER, streams)
     }
-    act = cfg.hidden_activation
-    dd_in = cfg.domain_disc_in_dim()
-
-    suite = ModelSuite(
-        features=make_mlp(
-            (cfg.input_dim, cfg.feature_hidden, cfg.feature_hidden, cfg.feature_dim),
-            rngs["features"],
-            hidden_activation=act,
-        ),
-        predictor=make_mlp(
-            (cfg.feature_dim, cfg.num_classes),
-            rngs["predictor"],
-            hidden_activation=act,
-            output_activation="log_softmax",
-        ),
-        domain_disc=make_mlp(
-            (dd_in, cfg.domain_disc_hidden, cfg.domain_disc_hidden, 1),
-            rngs["domain_disc"],
-            hidden_activation=act,
-            output_activation="sigmoid",
-        ),
-        s2t=make_mlp(
-            (
-                cfg.feature_dim,
-                cfg.translator_hidden,
-                cfg.translator_hidden,
-                cfg.translator_hidden,
-                cfg.feature_dim,
-            ),
-            rngs["s2t"],
-            hidden_activation=act,
-        ),
-        t2s=make_mlp(
-            (
-                cfg.feature_dim,
-                cfg.translator_hidden,
-                cfg.translator_hidden,
-                cfg.translator_hidden,
-                cfg.feature_dim,
-            ),
-            rngs["t2s"],
-            hidden_activation=act,
-        ),
-        source_disc=make_mlp(
-            (cfg.feature_dim, cfg.sample_disc_hidden, cfg.sample_disc_hidden, 1),
-            rngs["source_disc"],
-            hidden_activation=act,
-            output_activation="sigmoid",
-        ),
-        target_disc=make_mlp(
-            (cfg.feature_dim, cfg.sample_disc_hidden, cfg.sample_disc_hidden, 1),
-            rngs["target_disc"],
-            hidden_activation=act,
-            output_activation="sigmoid",
-        ),
-        maps=None,
-        arch=cfg,
-    )
+    maps = None
     if uses_randomized(cfg.feature_dim, cfg.num_classes, cfg.cond_threshold):
         maps_seed = int(streams[-1].generate_state(1)[0])
-        suite.maps = build_randomized_maps(
+        maps = build_randomized_maps(
             cfg.feature_dim, cfg.num_classes, cfg.cond_randomized_dim, maps_seed
         )
-    return suite
+    return ModelSuite(**nets, maps=maps, arch=cfg)
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -233,8 +202,7 @@ def _stack_suites(members: list[ModelSuite], cfg: ArchConfig) -> ModelSuite:
             LinearLayer(stack([l.weight.data for l in ls]), stack([l.bias.data for l in ls]))
             for ls in zip(*(net.layers for net in per_seed))
         ]
-        first = per_seed[0]
-        nets[name] = Mlp(layers, first.hidden_activation, first.output_activation)
+        nets[name] = Mlp(layers, cfg.hidden_activation)
     maps = None
     if members[0].maps is not None:
         maps = RandomizedMaps(
@@ -251,13 +219,13 @@ def _stack_suites(members: list[ModelSuite], cfg: ArchConfig) -> ModelSuite:
 def predict(suite: ModelSuite, x: Tensor) -> tuple[Tensor, Tensor]:
     """Feature and class-probability batch for inputs x.
 
-    Probability rows are exp of the predictor's log-softmax output, so
-    they sum to one up to rounding.
+    Probability rows are exp of ``suite.log_probs``, so they sum to one
+    up to rounding.
     """
     if x.data.ndim != 2 or x.shape[1] != suite.arch.input_dim:
         raise DimensionError(
             f"predict expects [batch, {suite.arch.input_dim}], got {x.shape}"
         )
     f = suite.features(x)
-    p = exp(suite.predictor(f))
+    p = exp(suite.log_probs(f))
     return f, p

@@ -7,16 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (
-    DimensionError,
-    NonFiniteError,
-    Tensor,
-    log_softmax,
-    mlp,
-    sigmoid,
-)
-
-OUTPUT_ACTIVATIONS = ("none", "sigmoid", "log_softmax")
+from .autodiff import DimensionError, NonFiniteError, Tensor, mlp
 
 
 @dataclass
@@ -61,19 +52,13 @@ def init_linear(
 
 @dataclass
 class Mlp:
-    """A stack of linear layers with a shared hidden activation.
-
-    ``output_activation`` is applied after the last layer; ``forward_logits``
-    skips it so losses can work on raw logits.
-    """
+    """A stack of linear layers with a shared hidden activation and no
+    output head: calling it returns the last layer's raw output (logits)."""
 
     layers: list[LinearLayer]
     hidden_activation: str = "relu"
-    output_activation: str = "none"
 
     def __post_init__(self):
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise DimensionError(
@@ -94,16 +79,8 @@ class Mlp:
             return x
         return mlp(x, self.parameters(), self.hidden_activation)
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = self.forward_logits(x)
-        if self.output_activation == "sigmoid":
-            return sigmoid(h)
-        if self.output_activation == "log_softmax":
-            return log_softmax(h)
-        return h
-
     def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
+        return self.forward_logits(x)
 
     def parameters(self) -> list[Tensor]:
         out: list[Tensor] = []
@@ -120,7 +97,6 @@ def make_mlp(
     dims: Sequence[int],
     rng: np.random.Generator | None,
     hidden_activation: str = "relu",
-    output_activation: str = "none",
 ) -> Mlp:
     """Build an MLP from a dim chain like (in, h1, ..., out), initialized
     he_uniform for relu nets and glorot_uniform otherwise."""
@@ -130,7 +106,7 @@ def make_mlp(
     layers = [
         init_linear(i, o, scheme, rng) for i, o in zip(dims[:-1], dims[1:])
     ]
-    return Mlp(layers, hidden_activation, output_activation)
+    return Mlp(layers, hidden_activation)
 
 
 def _runs(grads: list) -> list[tuple[int, int, bool]]:
@@ -186,10 +162,6 @@ class Sgd:
         self._grad = np.zeros_like(self.flat)
         self._tmp = np.empty_like(self.flat)
         self._mask = np.empty(self.flat.shape, dtype=bool)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
     def step(self) -> None:
         grads = [p.grad for p in self.params]

@@ -11,7 +11,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,19 +39,6 @@ CHOICES = {
 }
 
 CHECKPOINT_FORMAT_VERSION = 2
-
-METRICS_FIELDS = (
-    "step",
-    "l_cls",
-    "l_dom",
-    "l_s2t",
-    "l_t2s",
-    "l_cyc",
-    "l_total",
-    "source_acc",
-    "target_acc",
-    "d_d_mean_out",
-)
 
 
 class TrainingAborted(RuntimeError):
@@ -109,6 +96,12 @@ class MetricsRow:
     source_acc: float
     target_acc: float
     d_d_mean_out: float
+
+
+# the metrics.csv header, in MetricsRow's field order
+METRICS_FIELDS = tuple(f.name for f in fields(MetricsRow))
+# the loss terms a MetricsRow copies from its step's LossBreakdown
+_LOSS_FIELDS = tuple(f.name for f in fields(LossBreakdown) if f.name in METRICS_FIELDS)
 
 
 @dataclass
@@ -398,13 +391,8 @@ class _MetricsWriter:
         self.fh.flush()
 
     def write(self, row: MetricsRow) -> None:
-        self.writer.writerow(
-            [str(row.step)]
-            + [
-                repr(float(getattr(row, name)))
-                for name in METRICS_FIELDS[1:]
-            ]
-        )
+        step, *values = astuple(row)
+        self.writer.writerow([str(step)] + [repr(float(v)) for v in values])
         self.fh.flush()
 
     def close(self) -> None:
@@ -514,15 +502,10 @@ def train(
                         ) from err
                     row = MetricsRow(
                         step=step,
-                        l_cls=breakdown.l_cls,
-                        l_dom=breakdown.l_dom,
-                        l_s2t=breakdown.l_s2t,
-                        l_t2s=breakdown.l_t2s,
-                        l_cyc=breakdown.l_cyc,
-                        l_total=breakdown.l_total,
                         source_acc=source_acc,
                         target_acc=target_acc,
                         d_d_mean_out=d_d_mean_out,
+                        **{name: getattr(breakdown, name) for name in _LOSS_FIELDS},
                     )
                     history.append(row)
                     if writer is not None:
@@ -727,7 +710,16 @@ def atomic_write(path):
 def save_checkpoint(suite: ModelSuite, cfg: TrainConfig, path, step: int = 0) -> None:
     """Single file: one JSON header line, then every parameter tensor as
     little-endian float64 in ``ModelSuite.parameters`` order. Written
-    atomically: an interrupted save leaves the previous file at ``path``."""
+    atomically: an interrupted save leaves the previous file at ``path``.
+
+    The header's ``seed`` sets both seeds on load, so a config whose
+    ``arch.seed`` differs from its ``seed`` is refused, with nothing
+    written: it would reload with other randomized maps."""
+    if cfg.arch.seed != cfg.seed:
+        raise ValueError(
+            f"cannot checkpoint arch.seed {cfg.arch.seed} != seed {cfg.seed}: "
+            "a checkpoint stores one seed for both"
+        )
     params = suite.parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,

@@ -33,7 +33,7 @@ def identity_translator(dim, shift=0.0):
         Tensor(np.eye(dim), requires_grad=True),
         Tensor(np.full(dim, shift), requires_grad=True),
     )
-    return Mlp([layer], hidden_activation="relu", output_activation="none")
+    return Mlp([layer], hidden_activation="relu")
 
 
 def forward_parts(suite, x_s, x_t):
@@ -76,8 +76,7 @@ class TestDomainAdversarial:
     def test_perfect_discriminator_approaches_zero_from_below(self):
         disc = Mlp(
             [LinearLayer(Tensor(np.full((1, 2), 30.0), requires_grad=True),
-                         Tensor(np.zeros(1), requires_grad=True))],
-            output_activation="sigmoid",
+                         Tensor(np.zeros(1), requires_grad=True))]
         )
         real = Tensor(np.ones((3, 2)))
         fake = Tensor(-np.ones((3, 2)))
@@ -87,8 +86,7 @@ class TestDomainAdversarial:
     def test_wrong_discriminator_is_clamped_finite(self):
         disc = Mlp(
             [LinearLayer(Tensor(np.full((1, 2), -500.0), requires_grad=True),
-                         Tensor(np.zeros(1), requires_grad=True))],
-            output_activation="sigmoid",
+                         Tensor(np.zeros(1), requires_grad=True))]
         )
         real = Tensor(np.ones((2, 2)))
         fake = Tensor(-np.ones((2, 2)))
@@ -150,7 +148,7 @@ class TestTranslationLosses:
         beta = 0.7
         fake = small_suite.s2t(f_s)
         adv = adversarial_pair(small_suite.target_disc, f_t, fake, 1.0, True).item()
-        ce = cross_entropy(small_suite.predictor(fake), y_s).item()
+        ce = cross_entropy(small_suite.log_probs(fake), y_s).item()
         loss = translation_loss_s2t(small_suite, f_s, y_s, f_t, LossWeights(beta=beta))
         assert loss.item() == pytest.approx(adv + beta * ce, rel=1e-12)
 
@@ -293,7 +291,7 @@ class TestTotalLoss:
         w0 = LossWeights(lam=0.0, eta1=0.0, eta2=0.0)
         total, _ = total_loss(suite, (Tensor(x_s), y_s), None, w0)
         total.backward()
-        direct = cross_entropy(suite.predictor(suite.features(Tensor(x_s))), y_s)
+        direct = cross_entropy(suite.log_probs(suite.features(Tensor(x_s))), y_s)
         grads_a = [p.grad.copy() for p in suite.features.parameters()]
         for p in suite.parameters():
             p.zero_grad()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cycleadapt.autodiff import Tensor, no_grad
+from cycleadapt.autodiff import Tensor, log_softmax, no_grad
+from cycleadapt.data import DomainPair
 from cycleadapt.models import (
     MAX_COND_THRESHOLD,
     NETWORK_ORDER,
@@ -9,6 +10,7 @@ from cycleadapt.models import (
     build_suite,
     predict,
 )
+from cycleadapt.trainer import domain_disc_mean_out
 
 from conftest import SMALL_ARCH
 
@@ -65,6 +67,24 @@ class TestBuildSuite:
         with pytest.raises(ValueError):
             ArchConfig(input_dim=0, num_classes=2)
 
+    @pytest.mark.parametrize("seeds", [None, [4, 2]], ids=["single", "stacked"])
+    @pytest.mark.parametrize("threshold", [4096, 8], ids=["exact", "randomized"])
+    def test_layers_follow_the_width_table(self, seeds, threshold):
+        from dataclasses import replace
+
+        arch = replace(SMALL_ARCH, cond_threshold=threshold, cond_randomized_dim=12)
+        table = arch.layer_dims()
+        assert tuple(table) == NETWORK_ORDER
+        assert table["domain_disc"][0] == arch.domain_disc_in_dim()
+        suite = build_suite(arch, seeds)
+        lead = () if seeds is None else (len(seeds),)
+        for name, dims in table.items():
+            layers = getattr(suite, name).layers
+            assert len(layers) == len(dims) - 1
+            for layer, i, o in zip(layers, dims[:-1], dims[1:]):
+                assert layer.weight.shape == (*lead, o, i)
+                assert layer.bias.shape == (*lead, o)
+
     def test_maps_excluded_from_parameters(self):
         cfg = ArchConfig(
             input_dim=2, num_classes=2, feature_dim=8,
@@ -78,7 +98,7 @@ class TestBuildSuite:
 
 class TestForwardPass:
     def test_all_networks_finite_and_discs_in_unit_interval(self, small_suite, small_batch):
-        x_s, _, x_t = small_batch
+        x_s, y_s, x_t = small_batch
         with no_grad():
             f, p = predict(small_suite, Tensor(x_s))
             dd = small_suite.domain_disc(small_suite.condition(f, p))
@@ -88,8 +108,17 @@ class TestForwardPass:
             dt = small_suite.target_disc(fake_t)
         for t in (f, p, dd, fake_t, fake_s, ds, dt):
             assert np.all(np.isfinite(t.data))
-        for t in (dd, ds, dt):
-            assert np.all((t.data > 0.0) & (t.data < 1.0))
+        # the networks return logits; the metric applies the sigmoid
+        pair = DomainPair(x_s, y_s, x_t, None, SMALL_ARCH.num_classes)
+        assert 0.0 < domain_disc_mean_out(small_suite, pair) < 1.0
+
+    def test_log_probs_head_rows_sum_to_one(self, small_suite, small_batch):
+        x_s, _, _ = small_batch
+        f, p = predict(small_suite, Tensor(x_s))
+        log_p = small_suite.log_probs(f)
+        assert np.array_equal(log_p.data, log_softmax(small_suite.predictor(f)).data)
+        assert np.array_equal(p.data, np.exp(log_p.data))
+        np.testing.assert_allclose(np.exp(log_p.data).sum(axis=1), np.ones(4), atol=1e-12)
 
     def test_predict_probability_rows_sum_to_one(self, small_suite, small_batch):
         x_s, _, _ = small_batch

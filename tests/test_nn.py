@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleadapt.autodiff import NonFiniteError, Tensor, add, finite_diff_check, mul, sub
+from cycleadapt.autodiff import (
+    NonFiniteError,
+    Tensor,
+    add,
+    finite_diff_check,
+    log_softmax,
+    mul,
+    sub,
+)
 from cycleadapt.nn import (
     LinearLayer,
     Mlp,
@@ -47,21 +55,15 @@ class TestMlp:
     def test_identity_layer_passes_input_through(self):
         layer = LinearLayer(Tensor(np.eye(3), requires_grad=True),
                             Tensor(np.zeros(3), requires_grad=True))
-        mlp = Mlp([layer], hidden_activation="relu", output_activation="none")
+        mlp = Mlp([layer], hidden_activation="relu")
         x = np.random.default_rng(0).standard_normal((4, 3))
-        np.testing.assert_allclose(mlp.forward(Tensor(x)).data, x)
-
-    def test_log_softmax_head_rows_sum_to_one(self):
-        mlp = make_mlp((3, 8, 4), np.random.default_rng(0), output_activation="log_softmax")
-        out = mlp.forward(Tensor(np.random.default_rng(1).standard_normal((5, 3))))
-        np.testing.assert_allclose(np.exp(out.data).sum(axis=1), np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(mlp(Tensor(x)).data, x)
 
     def test_gradients_pass_finite_diff_check(self):
-        mlp = make_mlp((3, 5, 2), np.random.default_rng(2), hidden_activation="tanh",
-                       output_activation="log_softmax")
+        mlp = make_mlp((3, 5, 2), np.random.default_rng(2), hidden_activation="tanh")
         x = Tensor(np.random.default_rng(3).standard_normal((4, 3)))
         report = finite_diff_check(
-            lambda: mlp.forward(x).sum(), mlp.parameters(), eps=1e-5, tol=1e-4
+            lambda: log_softmax(mlp(x)).sum(), mlp.parameters(), eps=1e-5, tol=1e-4
         )
         assert report.passed, report.entries
 
@@ -70,7 +72,7 @@ class TestMlp:
         from cycleadapt.autodiff import DimensionError
 
         with pytest.raises(DimensionError):
-            mlp.forward(Tensor(np.ones((2, 4))))
+            mlp(Tensor(np.ones((2, 4))))
 
     def test_dims_must_chain(self):
         rng = np.random.default_rng(0)

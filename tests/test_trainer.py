@@ -423,6 +423,16 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.bin"]
 
+    def test_save_refuses_an_arch_seed_the_header_cannot_carry(self, tmp_path):
+        # the header's seed sets both seeds on load, so this config would
+        # come back with arch.seed 5 and other randomized maps
+        arch = replace(quick_cfg().arch, seed=9, cond_threshold=4, cond_randomized_dim=12)
+        cfg = replace(quick_cfg(), arch=arch)
+        path = tmp_path / "model.bin"
+        with pytest.raises(ValueError, match="arch.seed 9 != seed 5"):
+            save_checkpoint(build_suite(arch), cfg, path)
+        assert os.listdir(tmp_path) == []
+
     def test_truncated_file_rejected(self, tmp_path):
         cfg = quick_cfg()
         suite = build_suite(cfg.arch)
