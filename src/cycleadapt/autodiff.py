@@ -63,7 +63,7 @@ __all__ = [
     "matmul",
     "mlp",
     "ACTIVATIONS",
-    "sigmoid",
+    "stable_sigmoid",
     "exp",
     "log_softmax",
     "mean_log_sigmoid",
@@ -328,14 +328,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, "matmul", (a, b), backward)
 
 
-def _sigmoid_stable(z: Array) -> Array:
+def stable_sigmoid(z: Array) -> Array:
+    """The logistic function of an array, without overflow at either end;
+    plain array math, not a graph op."""
     e = np.exp(-np.abs(z))
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid_stable(x.data)
-    return _result(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
@@ -398,7 +395,7 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
         elif kind == "tanh":
             np.tanh(h, out=h)
         else:
-            h = _sigmoid_stable(h)
+            h = stable_sigmoid(h)
         _check(h, kind)
 
     def backward(g):
@@ -471,7 +468,7 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
     n = z.shape[-2] * z.shape[-1]
 
     def backward(g):
-        # the sigmoid of z, as _sigmoid_stable computes it from the same e
+        # the sigmoid of z, as stable_sigmoid computes it from the same e
         s = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
         gz = (np.asarray(g) / n)[..., None, None] * mask * (1.0 - s)
         return (gz * -1.0 if negate else gz,)

@@ -151,6 +151,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         pair = gen_two_moons_pair(args.n, shift, args.seed)
     elif args.kind == "gaussian":
         k = args.dim
+        if k < 1:
+            raise CliError(f"--dim must be >= 1, got {k}")
+        for flag, value in (("--class-sep", args.class_sep), ("--spread", args.spread)):
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
         angles = 2.0 * np.pi * np.arange(args.classes) / args.classes
         means = np.zeros((args.classes, k))
         means[:, 0] = args.class_sep * np.cos(angles)

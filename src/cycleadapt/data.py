@@ -44,8 +44,11 @@ class ShiftSpec:
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if not (0.0 <= self.rotation_deg < 360.0):
             raise ValueError("rotation_deg must be in [0, 360)")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
+        for name in ("scale", "translate"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -184,9 +187,13 @@ def gen_gaussian_shift_pair(
     means = np.asarray(means, dtype=np.float64)
     if means.ndim != 2 or means.shape[0] != num_classes:
         raise ValueError(f"means must be [{num_classes}, k], got {means.shape}")
+    if not np.isfinite(means).all():
+        raise ValueError("class means must be finite")
     if len(np.unique(means, axis=0)) != num_classes:
         raise ValueError("class means must be distinct")
     covariances = np.asarray(covariances, dtype=np.float64)
+    if not np.isfinite(covariances).all():
+        raise ValueError("covariances must be finite")
     if covariances.ndim == 2:
         covariances = np.repeat(covariances[None, :, :], num_classes, axis=0)
     counts = _balanced_counts(n_per_domain, num_classes)

@@ -22,6 +22,7 @@ is what finite-difference checking needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ ABLATION_MODES = ("S0", "S1", "S2", "S3", "S4")
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Scalar weights on the loss terms; all must be nonnegative.
+    """Scalar weights on the loss terms; all must be finite and nonnegative.
 
     Defaults: lam 1.0, beta 1.0, eta1 0.01, eta2 0.1.
     """
@@ -57,8 +58,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lam", "beta", "eta1", "eta2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"loss weight {name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"loss weight {name} must be nonnegative and finite, got {value}")
 
     @property
     def needs_target(self) -> bool:

@@ -58,6 +58,8 @@ class ArchConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         dims = (
             self.input_dim,
             self.feature_dim,

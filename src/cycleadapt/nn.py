@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,13 +123,14 @@ def _runs(grads: list) -> list[tuple[int, int, bool]]:
 
 
 def check_sgd_hparams(lr: float, momentum: float, weight_decay: float) -> None:
-    """Raise ValueError unless lr >= 0, 0 <= momentum < 1 and weight_decay >= 0."""
-    if not lr >= 0.0:
-        raise ValueError(f"lr must be nonnegative, got {lr}")
+    """Raise ValueError unless lr and weight_decay are finite and >= 0, and
+    0 <= momentum < 1."""
+    if not 0.0 <= lr < math.inf:
+        raise ValueError(f"lr must be nonnegative and finite, got {lr}")
     if not (0.0 <= momentum < 1.0):
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    if not weight_decay >= 0.0:
-        raise ValueError(f"weight_decay must be nonnegative, got {weight_decay}")
+    if not 0.0 <= weight_decay < math.inf:
+        raise ValueError(f"weight_decay must be nonnegative and finite, got {weight_decay}")
 
 
 class Sgd:

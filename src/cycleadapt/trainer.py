@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, no_grad, sigmoid, unchecked
+from .autodiff import NonFiniteError, Tensor, no_grad, stable_sigmoid, unchecked
 from .data import DomainPair
 from .losses import (
     ABLATION_MODES,
@@ -81,6 +81,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be one of {allowed}")
         if self.batch_size < 1 or self.total_steps < 0 or self.eval_every < 1:
             raise ValueError("batch_size/eval_every must be >= 1 and total_steps >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         check_sgd_hparams(self.lr, self.momentum, self.weight_decay)
 
 
@@ -169,6 +171,8 @@ def config_from_flat(flat: dict, base: TrainConfig | None = None) -> TrainConfig
     Keys mirror the config field names; ``lambda`` maps to the
     domain-adversarial weight. ``seed`` also reseeds the architecture.
     """
+    if not isinstance(flat, dict):
+        raise ValueError(f"config must map keys to values, got {type(flat).__name__}")
     unknown = set(flat) - set(FLAT_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -273,7 +277,7 @@ def domain_disc_mean_out(suite: ModelSuite, data: DomainPair, probe_n: int = 128
         for x in (data.x_s[:k], data.x_t[:k]):
             f, p = predict(suite, Tensor(x))
             logits = suite.domain_disc.forward_logits(suite.condition(f, p))
-            outs.append(sigmoid(logits).data)
+            outs.append(stable_sigmoid(logits.data))
     return float(np.concatenate(outs).mean())
 
 
@@ -758,9 +762,13 @@ def load_checkpoint(path) -> tuple[ModelSuite, TrainConfig, int]:
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: bad header: {err}") from None
 
-    suite = build_suite(cfg.arch, draw=False)
-    params = suite.parameters()
-    expected = sum(p.size for p in params)
+    # sized from the widths alone: a bad header is refused before the suite,
+    # and its randomized maps, take any memory
+    expected = sum(
+        out * (1 + inp)
+        for dims in cfg.arch.layer_dims().values()
+        for inp, out in zip(dims, dims[1:])
+    )
     if declared != expected:
         raise CheckpointError(
             f"{path}: header declares {declared} parameters but the stored "
@@ -770,8 +778,9 @@ def load_checkpoint(path) -> tuple[ModelSuite, TrainConfig, int]:
         raise CheckpointError(
             f"{path}: expected {expected * 8} parameter bytes, found {len(blob)}"
         )
+    suite = build_suite(cfg.arch, draw=False)
     offset = 0
-    for p in params:
+    for p in suite.parameters():
         chunk = np.frombuffer(blob, dtype="<f8", count=p.size, offset=offset)
         p.data[...] = chunk.reshape(p.shape)
         offset += p.size * 8

@@ -23,7 +23,7 @@ from cycleadapt.autodiff import (
     mul,
     no_grad,
     row_outer,
-    sigmoid,
+    stable_sigmoid,
     sub,
     unchecked,
 )
@@ -131,7 +131,7 @@ class TestActivations:
         np.testing.assert_array_equal(_activated(Tensor([[-1.0, 2.0]]), "relu").data, [[0, 2]])
 
     def test_sigmoid_at_zero(self):
-        assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
+        assert stable_sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
         assert _activated(Tensor([[0.0]]), "sigmoid").data[0, 0] == pytest.approx(0.5)
 
     def test_tanh_gradient_at_zero_is_one(self):
@@ -143,10 +143,11 @@ class TestActivations:
         assert grad_of(x)[0, 0] == pytest.approx(1.0)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        out = sigmoid(Tensor([-800.0, 800.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] == pytest.approx(0.0, abs=1e-300)
-        assert out.data[1] == pytest.approx(1.0)
+        for out in (stable_sigmoid(np.array([[-800.0, 800.0]])),
+                    _activated(Tensor([[-800.0, 800.0]]), "sigmoid").data):
+            assert np.all(np.isfinite(out))
+            assert out[0, 0] == pytest.approx(0.0, abs=1e-300)
+            assert out[0, 1] == pytest.approx(1.0)
 
 
 class TestLogSoftmax:
@@ -754,11 +755,11 @@ class TestCentralDifferences:
         _assert_matches_central_differences(lambda t: row_outer(t[0], t[1]), arrays, rng)
 
     @given(lead=lead, n=dims, c=st.integers(2, 5),
-           op=st.sampled_from(["sigmoid", "exp", "log_softmax"]), seed=seeds)
+           op=st.sampled_from(["exp", "log_softmax"]), seed=seeds)
     @settings(max_examples=30, deadline=None)
     def test_smooth_maps(self, lead, n, c, op, seed):
         rng = np.random.default_rng(seed)
-        build = {"sigmoid": sigmoid, "exp": exp, "log_softmax": log_softmax}[op]
+        build = {"exp": exp, "log_softmax": log_softmax}[op]
         arrays = [rng.standard_normal(lead + (n, c)) * 2.0]
         _assert_matches_central_differences(lambda t: build(t[0]), arrays, rng)
 

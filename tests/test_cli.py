@@ -61,6 +61,21 @@ class TestGen:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, name", [
+        (["--noise", "inf"], "noise_std"),
+        (["--noise", "nan"], "noise_std"),
+        (["--kind", "gaussian", "--spread", "nan"], "--spread"),
+        (["--kind", "gaussian", "--class-sep", "inf"], "--class-sep"),
+        (["--translate", "nan,0", "--shift-kind", "affine"], "translate"),
+        (["--kind", "gaussian", "--dim", "0"], "--dim"),
+    ])
+    def test_bad_setting_exits_2_naming_it_before_writing(self, tmp_path, capsys, args, name):
+        out = tmp_path / "data"
+        code = main(["gen", *args, "--out", str(out)])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gaussian_generator(self, tmp_path):
         out = tmp_path / "g"
         code = main([
@@ -240,6 +255,19 @@ class TestConfigValidatedBeforeWriting:
         assert "lr must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "-1", "seed"),
+        ("--lr", "inf", "lr"),
+        ("--weight-decay", "inf", "weight_decay"),
+        ("--eta2", "inf", "eta2"),
+    ])
+    def test_negative_seed_or_non_finite_setting(self, tmp_path, dataset, capsys,
+                                                 flag, value, key):
+        code, out = run_train(tmp_path, dataset, flag, value)
+        assert code == 2
+        assert f"{key} must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_hidden_activation(self, tmp_path, dataset, capsys):
         cfg = self._config_file(tmp_path, {"hidden_activation": "gelu"})
         code, out = run_train(tmp_path, dataset, "--config", cfg)
@@ -324,6 +352,15 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(bad), "--target", str(target)])
         assert code == 3
         assert f"{bad}: header is not a JSON object" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_3(self, tmp_path, dataset, capsys):
+        _, target = dataset
+        bad = tmp_path / "bad.bin"
+        header = {"format_version": 2, "config": [1], "param_count": 1, "step": 0}
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+        code = main(["eval", "--checkpoint", str(bad), "--target", str(target)])
+        assert code == 3
+        assert "bad header: config must map keys to values" in capsys.readouterr().err
 
     def test_overflowing_checkpoint_exits_3_naming_the_op(self, tmp_path, dataset, capsys):
         code, out = run_train(tmp_path, dataset)

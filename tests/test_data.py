@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestTwoMoons:
         with pytest.raises(ValueError):
             ShiftSpec(kind="warp")
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_std", math.nan), ("noise_std", math.inf),
+        ("scale", (1.0, math.inf)), ("translate", (math.nan, 0.0)),
+    ])
+    def test_non_finite_shift_specs(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            ShiftSpec(**{field: value})
+
 
 class TestGaussianPair:
     MEANS = [[-2.0, 0.0], [2.0, 0.0], [0.0, 2.5]]
@@ -115,6 +124,14 @@ class TestGaussianPair:
                 30, 2, [[1.0, 1.0], [1.0, 1.0]], np.eye(2),
                 ShiftSpec(rotation_deg=0.0), seed=0,
             )
+
+    @pytest.mark.parametrize("means, cov", [
+        ([[0.0, 0.0], [math.inf, 1.0]], np.eye(2)),
+        ([[0.0, 0.0], [1.0, 1.0]], np.eye(2) * math.nan),
+    ], ids=["means", "covariances"])
+    def test_non_finite_means_or_covariances_rejected(self, means, cov):
+        with pytest.raises(ValueError, match="must be finite"):
+            gen_gaussian_shift_pair(30, 2, means, cov, ShiftSpec(rotation_deg=0.0), seed=0)
 
     def test_deterministic(self):
         a = self.make(ShiftSpec(kind="affine", rotation_deg=0.0,

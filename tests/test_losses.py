@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cycleadapt import autodiff
 from cycleadapt.autodiff import Tensor, log_softmax
+from cycleadapt.gradcheck import run_components
 from cycleadapt.losses import (
     LossWeights,
     adversarial_pair,
@@ -309,6 +311,13 @@ class TestTotalLoss:
         for net in (suite.domain_disc, suite.source_disc, suite.target_disc):
             for p in net.parameters():
                 assert float(np.abs(p.grad).max()) == 0.0
+
+    def test_gradcheck_sees_a_gradient_fault_that_keeps_the_values(self, monkeypatch):
+        # every value as before, but no gradient through the predictions;
+        # only differencing total_loss itself catches it
+        monkeypatch.setattr("cycleadapt.losses.exp", lambda t: autodiff.exp(t.detach()))
+        [(_, report)] = run_components(["total"])
+        assert not report.passed
 
     def test_loss_values_always_finite_under_extreme_logits(self, small_batch):
         x_s, y_s, x_t = small_batch

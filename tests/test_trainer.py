@@ -467,6 +467,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("wide", [True, False], ids=["param_count", "payload"])
+    def test_size_mismatch_is_refused_before_the_suite_is_built(
+        self, tmp_path, monkeypatch, wide
+    ):
+        cfg = quick_cfg()
+        path = tmp_path / "model.bin"
+        save_checkpoint(build_suite(cfg.arch), cfg, path)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        if wide:
+            # a suite far larger than the parameters the header declares
+            doc["config"]["feature_dim"] = 20000
+        else:
+            payload = payload[:-8]
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_suite called")
+
+        monkeypatch.setattr("cycleadapt.trainer.build_suite", no_build)
+        with pytest.raises(CheckpointError, match="declares" if wide else "bytes"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("threshold", [4096, 4], ids=["exact", "randomized"])
     def test_load_draws_only_the_maps_and_gives_the_saved_suite(
         self, tmp_path, monkeypatch, threshold
