@@ -5,7 +5,8 @@ Writes a CSV table and, with --fixture, refreshes the acceptance fixture
 (tests/fixtures/two_moons_ladder.json) from the measured numbers. With
 --check it reruns the fixture's ladder (its seeds and data seed) instead,
 compares every per-seed target accuracy with the fixture's exactly, writes
-nothing, and exits 1 on any mismatch.
+nothing, and exits 1 on any mismatch, or 3, printing the abort, if a run
+of the ladder aborts.
 """
 
 import argparse
@@ -15,7 +16,13 @@ import time
 from pathlib import Path
 
 from cycleadapt.data import default_benchmark_pair
-from cycleadapt.trainer import ABLATION_MODES, ablation_run, default_train_config, stability_spread
+from cycleadapt.trainer import (
+    ABLATION_MODES,
+    TrainingAborted,
+    ablation_run,
+    default_train_config,
+    stability_spread,
+)
 
 FIXTURE_PATH = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "two_moons_ladder.json"
 
@@ -52,7 +59,11 @@ def main() -> int:
                       help="compare the fixture's ladder with a rerun; write nothing")
     args = parser.parse_args()
     if args.check:
-        return check_against_fixture()
+        try:
+            return check_against_fixture()
+        except TrainingAborted as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 3
     seeds = [int(s) for s in args.seeds.split(",")]
 
     t0 = time.time()

@@ -587,6 +587,8 @@ def finite_diff_check(
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"eps must be in (0, 1e-2], got {eps}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     report = GradCheckReport(eps=eps, tol=tol)
     if names is None:
         names = [f"input[{i}]" for i in range(len(inputs))]

@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
 3 runtime abort (non-finite loss or evaluation, unreadable checkpoint).
+Commands raise; ``main`` alone maps each failure to its code.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from . import __version__
 from .autodiff import NonFiniteError
 from .data import (
-    CsvSchemaError,
     DomainPair,
     ShiftSpec,
     gen_gaussian_shift_pair,
@@ -40,6 +40,7 @@ from .trainer import (
     atomic_write,
     config_from_flat,
     evaluate,
+    final_accuracies,
     flatten_config,
     load_checkpoint,
     pin_blas_threads,
@@ -132,14 +133,24 @@ def _utcnow() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_vector(text: str, name: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise CliError(f"--{name} must be comma-separated numbers, got {text!r}")
+def _parse_vector(text: str, name: str, kind=float) -> tuple:
+    """The comma-separated entries of ``--name``, each a ``kind``."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            raise CliError(f"--{name} takes comma-separated {kind.__name__}s, got {entry!r}")
+    return tuple(values)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(f"seed must be nonnegative, got {seed}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     shift = ShiftSpec(
         kind=args.shift_kind,
         rotation_deg=args.rotation,
@@ -198,10 +209,7 @@ def _load_pair_or_fail(source: str, target: str) -> DomainPair:
     for path in (source, target):
         if not os.path.exists(path):
             raise CliError(f"dataset file not found: {path}")
-    try:
-        return load_pair_csv(source, target)
-    except CsvSchemaError as err:
-        raise CliError(str(err))
+    return load_pair_csv(source, target)
 
 
 def _resolve_train_config(args: argparse.Namespace, data: DomainPair) -> TrainConfig:
@@ -223,10 +231,7 @@ def _resolve_train_config(args: argparse.Namespace, data: DomainPair) -> TrainCo
     )
     flat.setdefault("input_dim", data.input_dim)
     flat.setdefault("num_classes", data.num_classes)
-    try:
-        cfg = config_from_flat(flat)
-    except ValueError as err:
-        raise CliError(str(err))
+    cfg = config_from_flat(flat)
     if (cfg.arch.input_dim, cfg.arch.num_classes) != (data.input_dim, data.num_classes):
         raise CliError(
             f"config dims (input_dim={cfg.arch.input_dim}, num_classes="
@@ -253,44 +258,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     try:
         result = train(cfg, data, metrics_path=metrics_path)
+        source_acc, target_acc = final_accuracies(result, data, cfg.seed)
         save_checkpoint(result.suite, cfg, ckpt_path, step=cfg.total_steps)
-        if result.history:
-            # train logs both accuracies at its final step
-            final = result.history[-1]
-            source_acc = final.source_acc
-            target_acc = None if math.isnan(final.target_acc) else final.target_acc
-        else:
-            source_acc = evaluate(result.suite, data.x_s, data.y_s)
-            target_acc = (
-                evaluate(result.suite, data.x_t, data.y_t_eval)
-                if data.y_t_eval is not None
-                else None
-            )
-    except TrainingAborted as err:
-        dump_path = os.path.join(args.out, "abort.json")
-        dump = {"error": str(err), "step": err.step}
-        if err.last_breakdown is not None:
-            dump["last_breakdown"] = err.last_breakdown.__dict__
-        _write_json_atomic(dump_path, dump)
-        _manifest(
-            manifest_path,
-            cfg,
-            outputs,
-            "aborted",
-            {"started_at": started, "finished_at": _utcnow(), "diagnostic": dump_path},
-        )
-        print(f"error: {err} (diagnostic at {dump_path})", file=sys.stderr)
-        return EXIT_ABORT
-    except BaseException:
-        # any other failure, Ctrl-C included, still ends the manifest
-        _manifest(
-            manifest_path,
-            cfg,
-            outputs,
-            "failed",
-            {"started_at": started, "finished_at": _utcnow()},
-        )
+    except BaseException as err:
+        # every failure, Ctrl-C included, still ends the manifest: an abort
+        # with its diagnostic, anything else as failed
+        ended = {"started_at": started, "finished_at": _utcnow()}
+        status = "failed"
+        if isinstance(err, TrainingAborted):
+            ended["diagnostic"] = os.path.join(args.out, "abort.json")
+            dump = {"error": str(err), "step": err.step}
+            if err.last_breakdown is not None:
+                dump["last_breakdown"] = err.last_breakdown.__dict__
+            _write_json_atomic(ended["diagnostic"], dump)
+            status = "aborted"
+        _manifest(manifest_path, cfg, outputs, status, ended)
         raise
+    if math.isnan(target_acc):
+        target_acc = None
     _manifest(
         manifest_path,
         cfg,
@@ -320,17 +305,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     if not os.path.exists(args.target):
         raise CliError(f"dataset file not found: {args.target}")
-    try:
-        suite, cfg, _step = load_checkpoint(args.checkpoint)
-    except CheckpointError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ABORT
+    suite, cfg, _step = load_checkpoint(args.checkpoint)
     from .data import _load_domain_csv
 
-    try:
-        x, y = _load_domain_csv(args.target)
-    except CsvSchemaError as err:
-        raise CliError(str(err))
+    x, y = _load_domain_csv(args.target)
     if y is None:
         raise CliError(f"{args.target}: no label column; evaluation needs labels")
     if x.shape[1] != cfg.arch.input_dim:
@@ -343,12 +321,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{args.target}: label {int(y.max())} outside checkpoint's "
             f"{cfg.arch.num_classes} classes"
         )
-    try:
-        acc = evaluate(suite, x, y)
-    except NonFiniteError as err:
-        print(f"error: evaluating {args.checkpoint}: {err}", file=sys.stderr)
-        return EXIT_ABORT
-    print(f"{acc:.4f}")
+    print(f"{evaluate(suite, x, y):.4f}")
     return EXIT_OK
 
 
@@ -358,7 +331,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = _parse_vector(args.seeds, "seeds", int)
     if len(seeds) < 2:
         raise CliError("--seeds needs at least 2 comma-separated seeds")
     data = _load_pair_or_fail(args.source, args.target)
@@ -404,6 +377,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             f"unknown component {args.component!r}; choose from "
             f"{('all',) + tuple(COMPONENTS)}"
         )
+    _check_seed(args.seed)
     names = list(COMPONENTS) if args.component == "all" else [args.component]
     results = run_components(names, tol=args.tol, eps=args.eps, seed=args.seed)
     all_ok = True
@@ -498,11 +472,13 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except CliError as err:
+    except (CliError, TrainingAborted, NonFiniteError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, CliError):
+            return err.code
+        # before ValueError: CheckpointError is one
+        if isinstance(err, (TrainingAborted, NonFiniteError, CheckpointError)):
+            return EXIT_ABORT
         return EXIT_USAGE
 
 

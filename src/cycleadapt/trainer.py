@@ -387,6 +387,36 @@ def _replay(suite, x_s, y_s, x_t, weights, grl_coeff) -> None:
         total_loss(suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True)
 
 
+def _evaluation(
+    suite: ModelSuite, data: DomainPair, seed: int, step: int, breakdown: LossBreakdown | None
+) -> tuple[float, float, float]:
+    """Source and target accuracy (NaN without target labels) and the
+    domain discriminator's mean output, of the model of the run of ``seed``
+    after ``step`` steps. A non-finite forward aborts the run at ``step``
+    with ``breakdown`` attached: an update can overflow the parameters with
+    a finite loss, and the evaluation is the first to see it."""
+    try:
+        return (
+            evaluate(suite, data.x_s, data.y_s),
+            evaluate(suite, data.x_t, data.y_t_eval) if data.y_t_eval is not None else math.nan,
+            domain_disc_mean_out(suite, data),
+        )
+    except NonFiniteError as err:
+        raise TrainingAborted(
+            f"aborted at step {step} (seed {seed}): evaluation: {err}", breakdown, step
+        ) from err
+
+
+def final_accuracies(result: TrainResult, data: DomainPair, seed: int) -> tuple[float, float]:
+    """Source and target accuracy (NaN without target labels) at the end of
+    the run of ``seed``: its last logged row, which ``train`` writes at the
+    final step, or for a run of zero steps its initial model, evaluated
+    here; that evaluation aborts at step 0 if it goes non-finite."""
+    if result.history:
+        return result.history[-1].source_acc, result.history[-1].target_acc
+    return _evaluation(result.suite, data, seed, 0, None)[:2]
+
+
 class _MetricsWriter:
     def __init__(self, path):
         self.fh = open(path, "w", newline="", encoding="utf-8")
@@ -488,22 +518,10 @@ def train(
             last = breakdowns
 
             if step % cfg.eval_every == 0 or step == cfg.total_steps:
-                for k, (view, breakdown, history) in enumerate(zip(views, breakdowns, histories)):
-                    try:
-                        source_acc = evaluate(view, data.x_s, data.y_s)
-                        target_acc = (
-                            evaluate(view, data.x_t, data.y_t_eval)
-                            if data.y_t_eval is not None
-                            else float("nan")
-                        )
-                        d_d_mean_out = domain_disc_mean_out(view, data)
-                    except NonFiniteError as err:
-                        # an update can overflow the parameters with a
-                        # finite loss; the evaluation is the first to see it
-                        raise TrainingAborted(
-                            f"aborted at step {step} (seed {cfgs[k].seed}): evaluation: {err}",
-                            breakdown, step,
-                        ) from err
+                for c, view, breakdown, history in zip(cfgs, views, breakdowns, histories):
+                    source_acc, target_acc, d_d_mean_out = _evaluation(
+                        view, data, c.seed, step, breakdown
+                    )
                     row = MetricsRow(
                         step=step,
                         source_acc=source_acc,
@@ -619,13 +637,11 @@ def _ladder_group(
 ) -> list[tuple[float, tuple[MetricsRow, ...]]]:
     """One mode over all seeds as one replica group: each seed's final
     target accuracy and metrics history."""
-    out = []
-    for result in train(replace(base_cfg, ablation_mode=mode), data, seeds=seeds):
-        if result.history:
-            out.append((result.history[-1].target_acc, tuple(result.history)))
-        else:
-            out.append((evaluate(result.suite, data.x_t, data.y_t_eval), ()))
-    return out
+    results = train(replace(base_cfg, ablation_mode=mode), data, seeds=seeds)
+    return [
+        (final_accuracies(result, data, seed)[1], tuple(result.history))
+        for seed, result in zip(seeds, results)
+    ]
 
 
 def _pooled_groups(workers: int, jobs: list[tuple]) -> list:

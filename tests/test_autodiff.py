@@ -395,6 +395,14 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             finite_diff_check(lambda: mul(x, x).sum(), [x], eps=0.5)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # such a tolerance would FAIL or PASS every entry: a usage error,
+        # not a verdict on the gradients
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            finite_diff_check(lambda: mul(x, x).sum(), [x], tol=tol)
+
 
 # ---------------------------------------------------------------------------
 # Fused ops against the chains of single ops they replace, bit for bit. The

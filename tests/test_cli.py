@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,8 +11,10 @@ import pytest
 
 import cycleadapt
 import cycleadapt.cli as cli
-from cycleadapt.cli import main
-from cycleadapt.data import default_benchmark_pair, save_pair_csv
+from cycleadapt.autodiff import NonFiniteError
+from cycleadapt.cli import CliError, main
+from cycleadapt.data import CsvSchemaError, default_benchmark_pair, save_pair_csv
+from cycleadapt.trainer import CheckpointError, ModeStats, TrainingAborted
 
 from conftest import read_metrics_csv
 
@@ -74,6 +77,13 @@ class TestGen:
         code = main(["gen", *args, "--out", str(out)])
         assert code == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = main(["gen", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
         assert not out.exists()
 
     def test_gaussian_generator(self, tmp_path):
@@ -375,9 +385,7 @@ class TestEval:
             warnings.simplefilter("error")
             code = main(["eval", "--checkpoint", str(ckpt), "--target", str(target)])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and "op 'linear'" in err
+        assert capsys.readouterr().err == "error: non-finite value produced by op 'linear'\n"
 
     def test_unlabeled_target_exits_2(self, tmp_path, dataset, capsys):
         code, out = run_train(tmp_path, dataset)
@@ -415,9 +423,14 @@ class TestAblate:
         assert code == 2
         capsys.readouterr()
 
-    def test_assert_trend_flag(self, tmp_path, dataset, capsys, monkeypatch):
-        from cycleadapt.trainer import ModeStats
+    def test_seed_that_is_not_an_integer_names_the_flag_and_the_entry(self, dataset, capsys):
+        source, target = dataset
+        code = main(["ablate", "--source", str(source), "--target", str(target),
+                     "--seeds", "a,b"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seeds takes comma-separated ints, got 'a'\n"
 
+    def test_assert_trend_flag(self, tmp_path, dataset, capsys, monkeypatch):
         def fake_ladder(base_cfg, data, seeds):
             accs = {"S0": (0.9, 0.9), "S1": (0.5, 0.5), "S2": (0.5, 0.5),
                     "S3": (0.4, 0.4), "S4": (0.3, 0.3)}
@@ -454,6 +467,21 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--component", "wormhole"])
         assert code == 2
         capsys.readouterr()
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code = main(["gradcheck", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_tolerance_that_decides_nothing_is_usage_error(self, capsys, tol):
+        # such a tolerance fails (or passes) every component whatever the
+        # gradients; it is refused, not reported as a failed check
+        code = main(["gradcheck", f"--tol={tol}", "--component", "matmul"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite and > 0, got ")
 
 def test_version_flag(capsys):
     code = main(["--version"])
@@ -534,3 +562,109 @@ def test_wide_full_model_still_aborts_at_step_12_on_mul(tmp_path, capsys):
     assert abort["step"] == 12
     assert "op 'mul'" in abort["error"]
     assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
+
+
+def _overflowing(path):
+    """Set every feature of the CSV at ``path`` to 1e306: finite, so the
+    loader takes it, but the first layer of any model overflows on it."""
+    header, *rows = path.read_text().splitlines()
+    rows = [",".join(["1e306"] * row.count(",") + [row.rsplit(",", 1)[1]]) for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+class TestExitCodes:
+    """Commands raise; main alone maps each failure to its exit code, with
+    one error line and no traceback."""
+
+    @pytest.mark.parametrize("error, code", [
+        (CliError("--dim must be >= 1, got 0"), 2),
+        (CliError("custom", 3), 3),
+        (TrainingAborted("aborted at step 4 (seed 1): non-finite value produced by op 'mul'",
+                         None, 4), 3),
+        (NonFiniteError("linear"), 3),
+        (CheckpointError("ckpt.bin: unreadable header"), 3),
+        (CsvSchemaError("data.csv:3: non-finite value"), 2),
+        (ValueError("lr must be nonnegative, got -1.0"), 2),
+        (FileNotFoundError(2, "No such file or directory", "absent.csv"), 2),
+        (PermissionError(13, "Permission denied", "out"), 2),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
+    def test_each_failure_maps_to_its_code(self, monkeypatch, capsys, error, code):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", failing)
+        assert main(["gradcheck"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+    def test_a_bug_is_not_mapped(self, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_gradcheck", lambda args: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            main(["gradcheck"])
+
+    def test_diverging_ablation_exits_3(self, dataset, capsys):
+        source, target = dataset
+        code = main(["ablate", "--source", str(source), "--target", str(target),
+                     "--lr", "5", "--grl-schedule", "constant", "--lr-schedule", "constant",
+                     "--steps", "30", "--seeds", "1,2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: aborted at step ") and err.count("\n") == 1
+
+    def test_zero_step_train_that_overflows_aborts(self, tmp_path, dataset, capsys):
+        _overflowing(dataset[0])
+        code, out = run_train(tmp_path, dataset, "--steps", "0")
+        assert code == 3
+        abort = json.loads((out / "abort.json").read_text())
+        assert abort["step"] == 0 and "last_breakdown" not in abort
+        assert abort["error"].startswith(
+            "aborted at step 0 (seed 3): evaluation: non-finite value produced by op "
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert manifest["diagnostic"] == str(out / "abort.json")
+        assert not (out / "checkpoint.bin").exists()
+        assert capsys.readouterr().err == f"error: {abort['error']}\n"
+
+    def test_zero_step_ablation_that_overflows_aborts(self, dataset, capsys):
+        source, target = dataset
+        _overflowing(source)
+        code = main(["ablate", "--source", str(source), "--target", str(target),
+                     "--steps", "0", "--seeds", "1,2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: aborted at step 0 (seed 1): evaluation: ")
+        assert err.count("\n") == 1
+
+
+class TestAblationCheckScript:
+    """scripts/run_ablation.py --check exits 1 on a mismatch only."""
+
+    @pytest.fixture
+    def script(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "run_ablation.py"
+        spec = importlib.util.spec_from_file_location("run_ablation", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(sys, "argv", [str(path), "--check"])
+        return module
+
+    def test_an_aborted_ladder_exits_3(self, script, monkeypatch, capsys):
+        def diverging(base_cfg, data, seeds):
+            raise TrainingAborted("aborted at step 4 (seed 1): non-finite value", None, 4)
+
+        monkeypatch.setattr(script, "ablation_run", diverging)
+        assert script.main() == 3
+        assert capsys.readouterr().err == (
+            "error: aborted at step 4 (seed 1): non-finite value\n"
+        )
+
+    def test_a_mismatch_exits_1(self, script, monkeypatch, capsys):
+        def wrong(base_cfg, data, seeds):
+            return {m: ModeStats(m, (-1.0,) * len(seeds), ((),) * len(seeds))
+                    for m in ("S0", "S1", "S2", "S3", "S4")}
+
+        monkeypatch.setattr(script, "ablation_run", wrong)
+        assert script.main() == 1
+        assert "5 modes differ" in capsys.readouterr().out
