@@ -21,12 +21,16 @@ Deliberate constraints, chosen for debuggability at desk scale:
 * any op that produces a non-finite value raises :class:`NonFiniteError`
   naming the op, with numpy's floating-point warnings off, so
   adversarial-training blowups surface immediately, and only once.
-  Inside :func:`unchecked` these per-op checks are off; the training step
-  uses it to check only its loss and its flat gradient, once per step, and
-  replays the step's forward with checks on when either is non-finite, so
-  the error still names the op that went non-finite first. A non-finite
-  intermediate that reaches neither the loss nor any gradient (say, a
-  logit that overflowed and was then floored away) no longer stops a step
+  Inside :func:`unchecked` these per-op checks are off, and the caller
+  checks only what it keeps: the training step its loss and its flat
+  gradient, once per step, and an evaluation its logits and
+  log-probabilities, once per block of rows (:func:`check_finite`, with
+  the per-op predicate). Either replays its forward with checks on when a
+  check fails, so the error still names the op that went non-finite
+  first. A non-finite intermediate that reaches nothing checked (say, a
+  logit that overflowed and was then floored away, or a hidden value that
+  an activation maps from non-finite to finite) no longer stops a step or
+  an evaluation
 * ``mlp`` and ``mean_log_sigmoid`` are fused ops: one graph node for a
   whole network application or discriminator head. A non-finite check
   inside one names the step of the chain it fuses ('linear', the
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -57,6 +62,7 @@ __all__ = [
     "NonFiniteError",
     "no_grad",
     "unchecked",
+    "check_finite",
     "add",
     "sub",
     "mul",
@@ -120,7 +126,11 @@ def no_grad():
 def unchecked():
     """Suspend the per-op finiteness checks and numpy's floating-point
     warnings. The caller owns checking the result; replaying the same ops
-    outside this context raises at the op that went non-finite first."""
+    outside this context raises at the op that went non-finite first.
+
+    The checks are off process-wide, but numpy keeps its error state per
+    thread: a thread that runs ops meanwhile enters its own
+    ``np.errstate(all="ignore")``."""
     global _CHECK_FINITE
     prev = _CHECK_FINITE
     _CHECK_FINITE = False
@@ -147,10 +157,24 @@ def _quiet(op):
     return quiet_op
 
 
+def _finite(data: Array) -> bool:
+    # A sum of finite float64 values is non-finite only if an operand is,
+    # or when the sum alone overflows; the elementwise test, run only on
+    # that rare path, tells the two apart.
+    return math.isfinite(float(data.sum())) or bool(np.isfinite(data).all())
+
+
 def _check(data: Array, op: str) -> None:
-    # A sum of finite float64 values can only be non-finite if an operand
-    # was, or on astronomic overflow; either way the op must be flagged.
-    if _CHECK_FINITE and not math.isfinite(float(data.sum())):
+    if _CHECK_FINITE and not _finite(data):
+        raise NonFiniteError(op)
+
+
+@_quiet
+def check_finite(data: Array, op: str) -> None:
+    """Raise NonFiniteError naming ``op`` when ``data`` holds a non-finite
+    value, whether or not the per-op checks are on: the one check of a
+    caller that runs its ops ``unchecked``."""
+    if not _finite(data):
         raise NonFiniteError(op)
 
 
@@ -338,11 +362,21 @@ def stable_sigmoid(z: Array) -> Array:
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 
-# the hidden-layer buffers of an mlp that records no graph: two per shape,
-# one per layer parity, so that a layer never writes over its own input
-@functools.lru_cache(maxsize=16)
+_THREAD = threading.local()
+
+
 def _scratch(shape: tuple[int, ...], slot: int) -> Array:
-    return np.empty(shape)
+    """A hidden-layer buffer of an mlp that records no graph: two per shape,
+    one per layer parity, so that a layer never writes over its own input,
+    and one set per thread, so that threads evaluating at once never share
+    one."""
+    try:
+        buffers = _THREAD.scratch
+    except AttributeError:
+        buffers = _THREAD.scratch = functools.lru_cache(maxsize=16)(
+            lambda shape, slot: np.empty(shape)
+        )
+    return buffers(shape, slot)
 
 
 @_quiet
@@ -437,8 +471,11 @@ def log_softmax(x: Tensor) -> Tensor:
         raise DimensionError(f"log_softmax needs C >= 2, got C={x.shape[-1]}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    soft = np.exp(out)
-    return _result(out, "log_softmax", (x,), lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
+    # the softmax is taken in the backward pass, so a pass that records no
+    # graph never computes it
+    return _result(
+        out, "log_softmax", (x,), lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+    )
 
 
 @_quiet

@@ -10,13 +10,23 @@ import json
 import math
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, no_grad, stable_sigmoid, unchecked
+from .autodiff import (
+    NonFiniteError,
+    Tensor,
+    check_finite,
+    exp,
+    log_softmax,
+    no_grad,
+    stable_sigmoid,
+    unchecked,
+)
 from .data import DomainPair
 from .losses import (
     ABLATION_MODES,
@@ -25,7 +35,7 @@ from .losses import (
     resolve_weights,
     total_loss,
 )
-from .models import ArchConfig, ModelSuite, build_suite, predict
+from .models import ArchConfig, ModelSuite, build_suite
 from .nn import Sgd, check_sgd_hparams
 
 GRL_SCHEDULES = ("constant", "ramp")
@@ -242,43 +252,138 @@ class BatchStream:
 # rows per forward pass of ``evaluate``; a set of fewer than two blocks
 # is one pass. OpenBLAS picks other kernels for a gemm of few rows, which
 # can change the bits of a row's product (seen at 64 rows and below), so
-# no block is smaller than this
-EVAL_BLOCK = 1024
+# no block is smaller than this. Each thread has one block in flight, and
+# at 1024 rows two of them raised the peak RSS of a 20000-row evaluation
+# by 9-15 MB
+EVAL_BLOCK = 512
+
+
+def _class_probs(suite: ModelSuite, x: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Features and class probabilities of the rows x, as ``predict`` gives
+    them. The logits and log-probabilities are checked once each, whether
+    or not the per-op checks are on, so a non-finite value that reaches
+    the prediction raises NonFiniteError even inside ``unchecked``."""
+    f = suite.features(Tensor(x))
+    # the head of ModelSuite.log_probs, with its logits kept for the check;
+    # a -inf logit would pass a check of the probabilities as 0
+    logits = suite.predictor(f)
+    log_p = log_softmax(logits)
+    check_finite(logits.data, "linear")
+    check_finite(log_p.data, "log_softmax")
+    return f, exp(log_p)
+
+
+def _block_probs(suite: ModelSuite, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The class probabilities of rows lo:hi of x."""
+    return _class_probs(suite, x[lo:hi])[1].data
+
+
+def _on_threads(work, workers: int) -> None:
+    """work(0) in this thread and work(1) .. work(workers - 1) on as many
+    helper threads, each under its own ``np.errstate(all="ignore")``, as
+    numpy's error state is per thread. Every helper is joined before this
+    returns or raises; this thread's own exception wins, else the first
+    helper's is raised here."""
+    errors: list[BaseException | None] = [None] * workers
+
+    def helper(k: int) -> None:
+        try:
+            with np.errstate(all="ignore"):
+                work(k)
+        except BaseException as err:  # re-raised in the caller below
+            errors[k] = err
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            threads.append(threading.Thread(target=helper, args=(k,)))
+            threads[-1].start()
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 def evaluate(suite: ModelSuite, x: np.ndarray, y: np.ndarray | None) -> float:
     """Fraction of samples whose argmax class equals the label; argmax
-    ties resolve to the lowest class index. A non-finite forward raises
-    NonFiniteError naming the op, with no numpy warning ahead of it.
+    ties resolve to the lowest class index. ``y`` holds one label per row
+    of a nonempty ``x``.
 
     The forward runs over blocks of EVAL_BLOCK to 2 * EVAL_BLOCK - 1 rows
     (a smaller set in one pass), keeping only each row's predicted class,
-    with the same result as one pass over the whole set."""
+    with the same result as one pass over the whole set. This thread and
+    min(usable CPUs, blocks) - 1 helper threads each take every k-th
+    block; the helpers are joined before this returns or raises. Blocks
+    run with the per-op checks off, and each checks its logits and
+    log-probabilities once. The first block that fails that check is run
+    again with the checks on, so NonFiniteError names the op that went
+    non-finite first, with no numpy warning ahead of it; a hidden value
+    that an activation maps from non-finite to finite is not reported."""
     if y is None:
         raise ValueError("evaluation needs labels; this dataset has none")
     y = np.asarray(y)
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
+    if n == 0 or y.shape != (n,):
+        raise ValueError(
+            f"evaluation needs one label per row of a nonempty set, "
+            f"got x of shape {x.shape} and y of shape {y.shape}"
+        )
     blocks = max(n // EVAL_BLOCK, 1)
+    workers = min(_usable_cpus(), blocks)
     pred = np.empty(n, dtype=np.intp)
+    failed: list[int] = []
+
+    def rows(i: int) -> tuple[int, int]:
+        return i * n // blocks, (i + 1) * n // blocks
+
+    def run(k: int) -> None:
+        for i in range(k, blocks, workers):
+            lo, hi = rows(i)
+            try:
+                p = _block_probs(suite, x, lo, hi)
+            except NonFiniteError:
+                failed.append(i)
+                return
+            pred[lo:hi] = p.argmax(axis=1)
+
+    # the grad and check flags are process-wide, so only this thread sets
+    # them, around the whole pool
     with no_grad():
-        for i in range(blocks):
-            lo, hi = i * n // blocks, (i + 1) * n // blocks
-            _, p = predict(suite, Tensor(x[lo:hi]))
-            pred[lo:hi] = p.data.argmax(axis=1)
+        with unchecked():
+            _on_threads(run, workers)
+        if failed:
+            # the checked replay of the same forward raises: its per-op
+            # checks, or else its own one check, fail as the block's did
+            _block_probs(suite, x, *rows(min(failed)))
     return float((pred == y).mean())
 
 
 def domain_disc_mean_out(suite: ModelSuite, data: DomainPair, probe_n: int = 128) -> float:
-    """Mean domain-discriminator output over a balanced source/target probe."""
+    """Mean domain-discriminator output over a balanced source/target probe.
+    The forward runs with the per-op checks off and checks the class and
+    domain logits once, replaying with the checks on if that check fails,
+    as ``evaluate`` does."""
     k = min(probe_n, len(data.x_s), len(data.x_t))
-    with no_grad():
+
+    def mean_out() -> float:
         outs = []
         for x in (data.x_s[:k], data.x_t[:k]):
-            f, p = predict(suite, Tensor(x))
+            f, p = _class_probs(suite, x)
             logits = suite.domain_disc.forward_logits(suite.condition(f, p))
+            check_finite(logits.data, "linear")
             outs.append(stable_sigmoid(logits.data))
-    return float(np.concatenate(outs).mean())
+        return float(np.concatenate(outs).mean())
+
+    with no_grad():
+        try:
+            with unchecked():
+                return mean_out()
+        except NonFiniteError:
+            return mean_out()
 
 
 def stability_spread(

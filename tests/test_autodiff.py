@@ -38,6 +38,11 @@ def grad_of(t):
     return t.grad
 
 
+def _unchecked_tensor(data):
+    with unchecked():
+        return Tensor(data)
+
+
 class TestMatmul:
     def test_identity_left_multiplication(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -308,8 +313,10 @@ class TestNanPolicy:
         (lambda big: big.mean(), "mean"),
         (lambda big: exp(big), "exp"),
         (lambda big: log_softmax(Tensor(big.data * [[1.0, -1.0, 1.0]])), "log_softmax"),
-        # the negation is finite, but the sum its check takes overflows
-        (lambda big: mean_log_sigmoid(big, LOG_FLOOR, negate=True), "mul"),
+        # negating a finite value cannot overflow, so the head gets a
+        # non-finite input, as only an unchecked producer can pass one
+        (lambda big: mean_log_sigmoid(_unchecked_tensor(big.data * np.inf), LOG_FLOOR,
+                                      negate=True), "mul"),
     ], ids=["mul", "mul_scalar", "add", "sub", "matmul", "row_outer", "sum", "mean", "exp",
             "log_softmax", "mean_log_sigmoid"])
     def test_checked_op_raises_with_no_numpy_warning(self, op, name):

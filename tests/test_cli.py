@@ -565,10 +565,11 @@ def test_wide_full_model_still_aborts_at_step_12_on_mul(tmp_path, capsys):
 
 
 def _overflowing(path):
-    """Set every feature of the CSV at ``path`` to 1e306: finite, so the
-    loader takes it, but the first layer of any model overflows on it."""
+    """Set every feature of the CSV at ``path`` to 1e308: finite, so the
+    loader takes it, but the first layer of the models of seeds 0-3
+    overflows on it."""
     header, *rows = path.read_text().splitlines()
-    rows = [",".join(["1e306"] * row.count(",") + [row.rsplit(",", 1)[1]]) for row in rows]
+    rows = [",".join(["1e308"] * row.count(",") + [row.rsplit(",", 1)[1]]) for row in rows]
     path.write_text("\n".join([header, *rows]) + "\n")
 
 

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -12,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cycleadapt.autodiff as autodiff
 import cycleadapt.losses as losses_mod
 import cycleadapt.trainer as trainer_mod
 from cycleadapt.autodiff import NonFiniteError, Tensor, no_grad
@@ -279,18 +281,46 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(small_suite, np.ones((2, 3)), None)
 
+    @pytest.mark.parametrize("y", [np.zeros(1, dtype=np.int64), np.zeros((4, 1), dtype=np.int64)])
+    def test_labels_not_one_per_row_rejected(self, small_suite, y):
+        # a one-element y used to broadcast and score the whole set
+        with pytest.raises(ValueError, match=r"x of shape \(4, 3\) and y of shape"):
+            evaluate(small_suite, np.zeros((4, 3)), y)
+
+    def test_empty_set_rejected(self, small_suite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"nonempty set, got x of shape \(0, 3\)"):
+                evaluate(small_suite, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_features_whose_sum_overflows_evaluate_cleanly(self, seed):
+        # every value of the first layers is finite, but their sums overflow;
+        # a check of the sum alone flagged 'linear' (seed 0) or 'relu' (seed 3)
+        suite = build_suite(ArchConfig(input_dim=2, num_classes=2, seed=seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc = evaluate(suite, np.full((64, 2), 1e306), np.zeros(64, dtype=np.int64))
+        assert acc in (0.0, 1.0)
+
     @staticmethod
-    def _block_outputs(monkeypatch):
-        """The class probabilities of each forward pass evaluate makes."""
-        outputs = []
+    def _block_outputs(monkeypatch) -> dict[tuple[int, int], np.ndarray]:
+        """The class probabilities of each block evaluate runs, keyed by its
+        row range, as threads finish blocks out of order."""
+        outputs = {}
 
-        def recording_predict(suite, x):
-            f, p = predict(suite, x)
-            outputs.append(p.data.copy())
-            return f, p
+        def recording_block_probs(suite, x, lo, hi):
+            p = block_probs(suite, x, lo, hi)
+            outputs[lo, hi] = p.copy()
+            return p
 
-        monkeypatch.setattr(trainer_mod, "predict", recording_predict)
+        block_probs = trainer_mod._block_probs
+        monkeypatch.setattr(trainer_mod, "_block_probs", recording_block_probs)
         return outputs
+
+    @staticmethod
+    def _threads_and_flags() -> tuple[int, bool, bool]:
+        return threading.active_count(), autodiff._GRAD_ENABLED, autodiff._CHECK_FINITE
 
     def test_blocks_are_balanced_and_never_smaller_than_the_constant(
         self, small_suite, monkeypatch
@@ -300,8 +330,10 @@ class TestEvaluate:
         for n in (1, 500, 2 * b - 1, 2 * b, 20000):
             outputs.clear()
             evaluate(small_suite, np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
-            sizes = [len(p) for p in outputs]
-            assert sum(sizes) == n
+            ranges = sorted(outputs)
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            assert ranges[-1][1] == n
+            sizes = [hi - lo for lo, hi in ranges]
             if n < 2 * b:
                 assert sizes == [n]
             else:
@@ -315,9 +347,61 @@ class TestEvaluate:
         with no_grad():
             _, whole = predict(suite, Tensor(x))
         outputs = self._block_outputs(monkeypatch)
-        assert evaluate(suite, x, whole.data.argmax(axis=1)) == 1.0
-        assert len(outputs) > 1
-        assert np.concatenate(outputs).tobytes() == whole.data.tobytes()
+        before = self._threads_and_flags()
+        for cpus in (1, 2, 3):
+            outputs.clear()
+            monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+            assert evaluate(suite, x, whole.data.argmax(axis=1)) == 1.0
+            assert self._threads_and_flags() == before
+            assert len(outputs) > 1
+            blocks = np.concatenate([outputs[r] for r in sorted(outputs)])
+            assert blocks.tobytes() == whole.data.tobytes()
+
+    def test_non_finite_block_in_a_helper_raises_in_the_caller_naming_the_op(
+        self, small_suite, monkeypatch
+    ):
+        # four blocks on two threads: the helper takes blocks 1 and 3
+        b = EVAL_BLOCK
+        x = np.zeros((4 * b, 3))
+        x[b:2 * b] = 1e308
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 2)
+        in_caller = {}  # each block's first run
+        block_probs = trainer_mod._block_probs
+
+        def recording_block_probs(suite, x, lo, hi):
+            in_caller.setdefault(lo, threading.current_thread() is threading.main_thread())
+            return block_probs(suite, x, lo, hi)
+
+        monkeypatch.setattr(trainer_mod, "_block_probs", recording_block_probs)
+        with pytest.raises(NonFiniteError) as checked, no_grad():
+            predict(small_suite, Tensor(x[b:2 * b]))
+        before = self._threads_and_flags()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                evaluate(small_suite, x, np.zeros(4 * b, dtype=np.int64))
+        assert self._threads_and_flags() == before
+        assert in_caller[0] and not in_caller[b]
+        assert exc.value.op == checked.value.op == "linear"
+
+    def test_helper_exception_propagates_to_the_caller(self, small_suite, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def failing_in_helpers(suite, x, lo, hi):
+            if threading.current_thread() is not threading.main_thread():
+                raise Boom(lo)
+            return block_probs(suite, x, lo, hi)
+
+        block_probs = trainer_mod._block_probs
+        monkeypatch.setattr(trainer_mod, "_block_probs", failing_in_helpers)
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 3)
+        before = self._threads_and_flags()
+        n = 6 * EVAL_BLOCK
+        with pytest.raises(Boom) as exc:
+            evaluate(small_suite, np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
+        assert exc.value.args[0] == EVAL_BLOCK  # helper 1's first block
+        assert self._threads_and_flags() == before
 
     def test_repeated_evaluation_faults_in_no_fresh_memory(self, tmp_path):
         # a 500-row pass has [500, 64] hidden layers (256 KB each), above
