@@ -395,9 +395,12 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
 
     When nothing is recorded (under ``no_grad``, or with no input that
     requires a gradient), nothing is kept, and each hidden layer writes
-    into a scratch buffer that later calls reuse: an evaluation pass then
-    maps and faults in no fresh memory. The output is always a fresh
-    array, so a caller may keep it across later calls.
+    into a scratch buffer of the calling thread that its later calls
+    reuse: a repeated evaluation on one thread then maps and faults in no
+    fresh memory. A thread that lives for one call, as the helper threads
+    of ``trainer.evaluate`` do, allocates its buffers once per call. The
+    output is always a fresh array, so a caller may keep it across later
+    calls.
     """
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, DimensionError, Tensor, exp, log_softmax
+from .autodiff import ACTIVATIONS, DimensionError, Tensor, check_finite, exp, log_softmax
 from .conditioning import (
     RandomizedMaps,
     build_randomized_maps,
@@ -222,12 +222,19 @@ def predict(suite: ModelSuite, x: Tensor) -> tuple[Tensor, Tensor]:
     """Feature and class-probability batch for inputs x.
 
     Probability rows are exp of ``suite.log_probs``, so they sum to one
-    up to rounding.
+    up to rounding. The logits and the log-probabilities are checked once
+    each, whether or not the per-op checks are on, so a non-finite
+    prediction raises NonFiniteError even inside ``unchecked``; a check of
+    the probabilities alone would pass a -inf logit as 0.
     """
     if x.data.ndim != 2 or x.shape[1] != suite.arch.input_dim:
         raise DimensionError(
             f"predict expects [batch, {suite.arch.input_dim}], got {x.shape}"
         )
     f = suite.features(x)
-    p = exp(suite.log_probs(f))
-    return f, p
+    # the head of ModelSuite.log_probs, with its logits kept for the check
+    logits = suite.predictor(f)
+    log_p = log_softmax(logits)
+    check_finite(logits.data, "linear")
+    check_finite(log_p.data, "log_softmax")
+    return f, exp(log_p)

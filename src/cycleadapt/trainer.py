@@ -21,8 +21,6 @@ from .autodiff import (
     NonFiniteError,
     Tensor,
     check_finite,
-    exp,
-    log_softmax,
     no_grad,
     stable_sigmoid,
     unchecked,
@@ -35,7 +33,7 @@ from .losses import (
     resolve_weights,
     total_loss,
 )
-from .models import ArchConfig, ModelSuite, build_suite
+from .models import ArchConfig, ModelSuite, build_suite, predict
 from .nn import Sgd, check_sgd_hparams
 
 GRL_SCHEDULES = ("constant", "ramp")
@@ -257,25 +255,17 @@ class BatchStream:
 # by 9-15 MB
 EVAL_BLOCK = 512
 
-
-def _class_probs(suite: ModelSuite, x: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Features and class probabilities of the rows x, as ``predict`` gives
-    them. The logits and log-probabilities are checked once each, whether
-    or not the per-op checks are on, so a non-finite value that reaches
-    the prediction raises NonFiniteError even inside ``unchecked``."""
-    f = suite.features(Tensor(x))
-    # the head of ModelSuite.log_probs, with its logits kept for the check;
-    # a -inf logit would pass a check of the probabilities as 0
-    logits = suite.predictor(f)
-    log_p = log_softmax(logits)
-    check_finite(logits.data, "linear")
-    check_finite(log_p.data, "log_softmax")
-    return f, exp(log_p)
+# the most threads ``evaluate`` runs, the calling one included. Each holds
+# one block's hidden layers: two raised the peak RSS of a 20000-row set at
+# feature width 272 by about 2 MB, on a 2-vCPU machine; more were not
+# measured. A ladder worker process evaluates on its own thread alone
+# (``_start_ladder_worker``), as its sibling processes hold the other CPUs
+_eval_threads = 2
 
 
 def _block_probs(suite: ModelSuite, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The class probabilities of rows lo:hi of x."""
-    return _class_probs(suite, x[lo:hi])[1].data
+    return predict(suite, Tensor(x[lo:hi]))[1].data
 
 
 def _on_threads(work, workers: int) -> None:
@@ -314,14 +304,15 @@ def evaluate(suite: ModelSuite, x: np.ndarray, y: np.ndarray | None) -> float:
 
     The forward runs over blocks of EVAL_BLOCK to 2 * EVAL_BLOCK - 1 rows
     (a smaller set in one pass), keeping only each row's predicted class,
-    with the same result as one pass over the whole set. This thread and
-    min(usable CPUs, blocks) - 1 helper threads each take every k-th
-    block; the helpers are joined before this returns or raises. Blocks
-    run with the per-op checks off, and each checks its logits and
-    log-probabilities once. The first block that fails that check is run
-    again with the checks on, so NonFiniteError names the op that went
-    non-finite first, with no numpy warning ahead of it; a hidden value
-    that an activation maps from non-finite to finite is not reported."""
+    with the same result as one pass over the whole set. The blocks are
+    dealt in turn to min(usable CPUs, blocks, ``_eval_threads``) threads,
+    this one and helpers, and the helpers are joined before this returns
+    or raises. Blocks run with the per-op checks off, and ``predict``
+    checks each block's logits and log-probabilities once. The first
+    block that fails that check is run again with the checks on, so
+    NonFiniteError names the op that went non-finite first, with no numpy
+    warning ahead of it; a hidden value that an activation maps from
+    non-finite to finite is not reported."""
     if y is None:
         raise ValueError("evaluation needs labels; this dataset has none")
     y = np.asarray(y)
@@ -333,7 +324,7 @@ def evaluate(suite: ModelSuite, x: np.ndarray, y: np.ndarray | None) -> float:
             f"got x of shape {x.shape} and y of shape {y.shape}"
         )
     blocks = max(n // EVAL_BLOCK, 1)
-    workers = min(_usable_cpus(), blocks)
+    workers = min(_usable_cpus(), blocks, _eval_threads)
     pred = np.empty(n, dtype=np.intp)
     failed: list[int] = []
 
@@ -372,7 +363,7 @@ def domain_disc_mean_out(suite: ModelSuite, data: DomainPair, probe_n: int = 128
     def mean_out() -> float:
         outs = []
         for x in (data.x_s[:k], data.x_t[:k]):
-            f, p = _class_probs(suite, x)
+            f, p = predict(suite, Tensor(x))
             logits = suite.domain_disc.forward_logits(suite.condition(f, p))
             check_finite(logits.data, "linear")
             outs.append(stable_sigmoid(logits.data))
@@ -720,8 +711,8 @@ def _usable_cpus() -> int:
 
 
 def _worker_pool(workers: int):
-    """Worker processes, each started by ``pin_blas_threads``: forked on
-    Linux, spawned elsewhere."""
+    """Worker processes, each started by ``_start_ladder_worker``: forked
+    on Linux, spawned elsewhere."""
     # imported here, as only a pooled ladder needs them (they cost every
     # other start about 20 ms). A forked worker starts in about 10 ms with
     # this process's modules already imported; a spawned one boots an
@@ -734,7 +725,15 @@ def _worker_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
-    return ProcessPoolExecutor(workers, mp_context=context, initializer=pin_blas_threads)
+    return ProcessPoolExecutor(workers, mp_context=context, initializer=_start_ladder_worker)
+
+
+def _start_ladder_worker() -> None:
+    """Set up a ladder worker process: BLAS threads as ``pin_blas_threads``
+    sets them, and ``evaluate`` on this process's own thread alone."""
+    global _eval_threads
+    pin_blas_threads()
+    _eval_threads = 1
 
 
 def _ladder_group(

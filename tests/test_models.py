@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cycleadapt.autodiff import Tensor, log_softmax, no_grad
+from cycleadapt.autodiff import NonFiniteError, Tensor, log_softmax, no_grad, unchecked
 from cycleadapt.data import DomainPair
 from cycleadapt.models import (
     MAX_COND_THRESHOLD,
@@ -124,6 +124,16 @@ class TestForwardPass:
         x_s, _, _ = small_batch
         _, p = predict(small_suite, Tensor(x_s))
         np.testing.assert_allclose(p.data.sum(axis=1), np.ones(4), atol=1e-12)
+
+    def test_predict_checks_its_logits_even_unchecked(self):
+        # a -inf logit has probability 0, which a check of the
+        # probabilities alone would pass
+        suite = build_suite(SMALL_ARCH)
+        suite.predictor.layers[-1].bias.data[0] = -np.inf
+        x = Tensor(np.zeros((4, 3)))
+        with no_grad(), unchecked(), pytest.raises(NonFiniteError) as exc:
+            predict(suite, x)
+        assert exc.value.op == "linear"
 
     def test_predict_shapes(self, small_suite):
         x = Tensor(np.random.default_rng(0).standard_normal((7, 3)))

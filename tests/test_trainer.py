@@ -16,7 +16,7 @@ import pytest
 import cycleadapt.autodiff as autodiff
 import cycleadapt.losses as losses_mod
 import cycleadapt.trainer as trainer_mod
-from cycleadapt.autodiff import NonFiniteError, Tensor, no_grad
+from cycleadapt.autodiff import DimensionError, NonFiniteError, Tensor, no_grad
 from cycleadapt.data import default_benchmark_pair, gen_two_moons_pair, ShiftSpec
 from cycleadapt.losses import LossBreakdown
 from cycleadapt.models import ArchConfig, build_suite, predict
@@ -348,6 +348,7 @@ class TestEvaluate:
             _, whole = predict(suite, Tensor(x))
         outputs = self._block_outputs(monkeypatch)
         before = self._threads_and_flags()
+        monkeypatch.setattr(trainer_mod, "_eval_threads", 3)
         for cpus in (1, 2, 3):
             outputs.clear()
             monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
@@ -396,12 +397,29 @@ class TestEvaluate:
         block_probs = trainer_mod._block_probs
         monkeypatch.setattr(trainer_mod, "_block_probs", failing_in_helpers)
         monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(trainer_mod, "_eval_threads", 3)
         before = self._threads_and_flags()
         n = 6 * EVAL_BLOCK
         with pytest.raises(Boom) as exc:
             evaluate(small_suite, np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
         assert exc.value.args[0] == EVAL_BLOCK  # helper 1's first block
         assert self._threads_and_flags() == before
+
+    def test_at_most_two_threads_evaluate_whatever_the_cpus(self, monkeypatch):
+        # each thread holds one block's hidden layers; more than two were
+        # never measured against the peak RSS bound
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 8)
+        assert _threads_evaluating() == 2
+
+    def test_a_ladder_worker_evaluates_on_its_own_thread_alone(self):
+        # its sibling worker processes already hold the other CPUs
+        with trainer_mod._worker_pool(1) as ex:
+            assert ex.submit(_threads_evaluating, 8).result() == 1
+
+    def test_wrong_feature_width_names_the_predict_contract(self):
+        suite = build_suite(ArchConfig(input_dim=3, num_classes=3))
+        with pytest.raises(DimensionError, match=r"predict expects \[batch, 3\]"):
+            evaluate(suite, np.zeros((5000, 2)), np.zeros(5000, dtype=np.int64))
 
     def test_repeated_evaluation_faults_in_no_fresh_memory(self, tmp_path):
         # a 500-row pass has [500, 64] hidden layers (256 KB each), above
@@ -951,6 +969,29 @@ class TestReplicaGroup:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         with _worker_pool(1) as ex:
             assert ex.submit(_blas_threads).result() == 2
+
+
+def _threads_evaluating(cpus: int | None = None) -> int:
+    """The threads that ``evaluate`` runs blocks on, for a set of eight
+    blocks; with ``cpus``, as if this process could use that many CPUs (a
+    pool worker's patch, gone when the worker exits)."""
+    if cpus is not None:
+        trainer_mod._usable_cpus = lambda: cpus
+    seen = set()
+    block_probs = trainer_mod._block_probs
+
+    def recording_block_probs(suite, x, lo, hi):
+        seen.add(threading.get_ident())
+        return block_probs(suite, x, lo, hi)
+
+    trainer_mod._block_probs = recording_block_probs
+    try:
+        n = 8 * EVAL_BLOCK
+        suite = build_suite(ArchConfig(input_dim=3, num_classes=3))
+        evaluate(suite, np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
+    finally:
+        trainer_mod._block_probs = block_probs
+    return len(seen)
 
 
 def _blas_threads() -> int:
