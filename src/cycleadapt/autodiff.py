@@ -40,6 +40,20 @@ Deliberate constraints, chosen for debuggability at desk scale:
 * ``grad_reversal`` is the identity forward and multiplies the upstream
   gradient by ``-coeff`` backward; it is what lets one descent step drive
   both sides of a minimax game
+* every op computes its output with a kernel that writes into arrays the
+  op allocated once, and the backward closures read those same arrays.
+  Inside :func:`trace` the kernels are kept, in creation order, with the
+  laid-out backward pass of the one ``backward()`` call, as a
+  :class:`Plan`. ``Plan.run`` computes the step again, into the same
+  arrays, from whatever its inputs hold then: no Tensor, no walk and no
+  dict. The trainer traces its step once per ``train`` call, at step 1,
+  and drops the plan when the call returns (see ``trainer._TracedStep``)
+* a leaf that an optimizer owns (see ``nn.Sgd``) receives its gradient in
+  a view of the optimizer's flat gradient buffer: the first contribution
+  is copied in and later ones are added in place, in arrival order, so
+  the sum has the bits of an out-of-place one. Its ``grad`` is then that
+  view, which the next backward pass overwrites. Interior nodes keep no
+  ``grad``
 """
 
 from __future__ import annotations
@@ -63,11 +77,14 @@ __all__ = [
     "no_grad",
     "unchecked",
     "check_finite",
+    "Plan",
+    "trace",
     "add",
     "sub",
     "mul",
     "matmul",
     "mlp",
+    "mlp_again",
     "ACTIVATIONS",
     "stable_sigmoid",
     "exp",
@@ -108,6 +125,8 @@ class NonFiniteError(FloatingPointError):
 
 _GRAD_ENABLED = True
 _CHECK_FINITE = True
+# the plan being traced (see ``trace``), or None
+_PLAN: "Plan | None" = None
 
 
 @contextmanager
@@ -145,7 +164,7 @@ def _quiet(op):
     """``op`` with numpy's floating-point warnings off while the per-op
     checks are on, since the check reports a non-finite value itself.
     Inside ``unchecked`` the warnings are off already and ``op`` runs as
-    it is."""
+    it is. A replayed ``Plan`` calls no op, so it never passes here."""
 
     @functools.wraps(op)
     def quiet_op(*args, **kwargs):
@@ -184,7 +203,7 @@ BackwardFn = Callable[[Array], tuple]
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op", "_grad_out")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -196,6 +215,9 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: BackwardFn | None = None
         self.op = "leaf"
+        # where backward writes this leaf's gradient: a view of the flat
+        # gradient buffer of the optimizer that owns it, or None
+        self._grad_out: Array | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -215,24 +237,73 @@ class Tensor:
         return Tensor(self.data)
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable requires_grad tensor.
+        """Add this scalar's gradient into ``grad`` of every reachable leaf
+        that requires one.
 
-        Requires a scalar (single-element) tensor. Each graph node is
-        visited exactly once; gradients for tensors reached through
-        several paths are summed.
+        Each graph node is visited exactly once; gradients for tensors
+        reached through several paths are summed. A leaf whose ``grad`` is
+        None and that an optimizer owns gets a view of the optimizer's
+        gradient buffer as its ``grad``; the next backward pass overwrites
+        that view. Interior nodes keep no gradient. Inside ``trace`` the
+        laid-out pass becomes the plan's backward pass.
         """
         if self.size != 1:
             raise GraphError(f"backward() needs a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             return
+        if self._backward is None:  # a leaf: its gradient is one
+            g = np.ones_like(self.data)
+            self.grad = g if self.grad is None else self.grad + g
+            return
+        backward = _Backward(self)
+        backward.run()
+        if _PLAN is not None:
+            _PLAN.backward = backward
 
-        # Depth-first post-order over the recorded nodes. Leaves are left
-        # out of the walk (they have no parents, so this leaves the order of
-        # the recorded nodes unchanged) and receive their sums at the end.
+    @_quiet
+    def sum(self, axis=None) -> "Tensor":
+        shape, data = self.shape, self.data
+        out = np.asarray(data.sum(axis=axis))
+        _record(lambda: np.add.reduce(data, axis=axis, out=out))
+        return _result(out, "sum", (self,), lambda g: (_spread(g, shape, axis),))
+
+    @_quiet
+    def mean(self, axis=None) -> "Tensor":
+        shape, data = self.shape, self.data
+        out = np.asarray(data.mean(axis=axis))
+        n = self.size // max(out.size, 1)
+        # np.mean's own steps: the sum, then the division by the count
+        _record(lambda: np.divide(np.add.reduce(data, axis=axis, out=out), n, out=out))
+        return _result(out, "mean", (self,), lambda g: (_spread(g / n, shape, axis),))
+
+    def __repr__(self) -> str:
+        flag = ", requires_grad=True" if self.requires_grad else ""
+        return f"Tensor(shape={self.shape}, op={self.op!r}{flag})"
+
+
+class _Backward:
+    """The backward pass from one scalar, laid out once.
+
+    The recorded nodes are taken in the walk order: a depth-first
+    post-order over the nodes, reversed, so that a node comes after every
+    node that reads it. Leaves are left out of the walk (they have no
+    parents, so this leaves the order of the recorded nodes unchanged).
+    Each node and each leaf that requires a gradient has one slot, and
+    each node's closure is stored with the slot of each of its parents
+    (-1 for a parent that takes none). A leaf sums into its view of the
+    buffer of the optimizer that owns it, other leaves and nodes that more
+    than one edge feeds into a buffer of their own: the first
+    contribution is copied in, later ones are added in place in arrival
+    order, which gives the bits of the out-of-place sum. A node fed once
+    keeps the contribution itself. So a leaf's ``grad`` never shares an
+    array with a closure, which may reuse its arrays at its next run.
+    """
+
+    def __init__(self, loss: Tensor):
         # Tensors hash by identity, so they key the sets and dicts directly.
         topo: list[Tensor] = []
         seen: set[Tensor] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor, bool]] = [(loss, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -245,43 +316,105 @@ class Tensor:
             for p in node._parents:
                 if p._backward is not None and p not in seen:
                     stack.append((p, False))
+        topo.reverse()
+        slot = {node: i for i, node in enumerate(topo)}
+        tensors = list(topo)  # the tensor of each slot: the nodes, then the leaves
+        self.steps: list[tuple[BackwardFn, tuple[int, ...]]] = []
+        for node in topo:
+            targets = []
+            for p in node._parents:
+                t = -1
+                if p.requires_grad:
+                    t = slot.get(p, -1)
+                    if t < 0:
+                        t = slot[p] = len(tensors)
+                        tensors.append(p)
+                targets.append(t)
+            self.steps.append((node._backward, tuple(targets)))
+        edges = [0] * len(tensors)
+        for _, targets in self.steps:
+            for t in targets:
+                if t >= 0:
+                    edges[t] += 1
+        self.leaves = [(leaf, t) for t, leaf in enumerate(tensors) if t >= len(topo)]
+        self.buffers: list[Array | None] = [
+            np.empty(x.shape) if edges[i] > 1 else None for i, x in enumerate(topo)
+        ] + [
+            leaf._grad_out if leaf._grad_out is not None and leaf.grad is None
+            else np.empty(leaf.shape)
+            for leaf, _ in self.leaves
+        ]
+        self.seed = np.ones_like(loss.data)
 
-        pending: dict[Tensor, Array] = {self: np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = pending.pop(node, None)
+    def run(self) -> None:
+        grads: list[Array | None] = [None] * len(self.buffers)
+        grads[0] = self.seed
+        buffers = self.buffers
+        for i, (backward, targets) in enumerate(self.steps):
+            g = grads[i]
             if g is None:
                 continue
-            # accumulation stays out-of-place: closure outputs may alias
-            # other tensors' pending gradients
-            node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
-                continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+            grads[i] = None
+            for t, pg in zip(targets, backward(g)):
+                if pg is None or t < 0:
                     continue
-                if parent in pending:
-                    pending[parent] = pending[parent] + pg
+                acc = grads[t]
+                if acc is not None:
+                    acc += pg
+                elif buffers[t] is None:
+                    grads[t] = pg
                 else:
-                    pending[parent] = pg
-        for leaf, g in pending.items():
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+                    acc = grads[t] = buffers[t]
+                    acc[...] = pg
+        for leaf, t in self.leaves:
+            g = grads[t]
+            if g is not None:
+                leaf.grad = g if leaf.grad is None else leaf.grad + g
 
-    @_quiet
-    def sum(self, axis=None) -> "Tensor":
-        shape = self.shape
-        out = np.asarray(self.data.sum(axis=axis))
-        return _result(out, "sum", (self,), lambda g: (_spread(g, shape, axis),))
 
-    @_quiet
-    def mean(self, axis=None) -> "Tensor":
-        shape = self.shape
-        out = np.asarray(self.data.mean(axis=axis))
-        n = self.size // max(out.size, 1)
-        return _result(out, "mean", (self,), lambda g: (_spread(g / n, shape, axis),))
+class Plan:
+    """A traced step: the forward kernel of each op, in creation order,
+    and the laid-out backward pass. ``run`` computes every value and
+    gradient again, into the arrays the trace allocated, from whatever
+    the traced inputs (the leaves' arrays, and any array or cell an op
+    reads, such as ``gather_rows``'s labels and ``grad_reversal``'s
+    coefficient) hold when it runs. It adds nothing to the arrays it
+    reads, so the caller refills the inputs in place, and run it inside
+    ``unchecked``: a plan checks nothing."""
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self.op!r}{flag})"
+    def __init__(self):
+        self.kernels: list[Callable[[], object]] = []
+        self.backward: _Backward | None = None
+
+    def run(self) -> None:
+        for kernel in self.kernels:
+            kernel()
+        self.backward.run()
+
+
+@contextmanager
+def trace():
+    """Yield a ``Plan`` that records every op run inside the block, and
+    the one ``backward()`` called there. Like ``no_grad``, it is
+    process-wide: no other thread may run ops meanwhile."""
+    global _PLAN
+    prev, _PLAN = _PLAN, Plan()
+    try:
+        yield _PLAN
+    finally:
+        _PLAN = prev
+
+
+def _record(kernel: Callable[[], object]) -> None:
+    """Keep an op's forward kernel in the plan being traced, if any."""
+    if _PLAN is not None:
+        _PLAN.kernels.append(kernel)
+
+
+def _run(kernel: Callable[[], object]) -> None:
+    """Compute a new op's output with its kernel, and keep the kernel."""
+    kernel()
+    _record(kernel)
 
 
 def _result(data: Array, op: str, parents: tuple[Tensor, ...], backward: BackwardFn) -> Tensor:
@@ -313,25 +446,32 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 @_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    ad, bd, out = a.data, b.data, np.empty(a.shape)
+    _run(lambda: np.add(ad, bd, out=out))
+    return _result(out, "add", (a, b), lambda g: (g, g))
 
 
 @_quiet
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    return _result(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
+    ad, bd, out = a.data, b.data, np.empty(a.shape)
+    _run(lambda: np.subtract(ad, bd, out=out))
+    return _result(out, "sub", (a, b), lambda g: (g, -g))
 
 
 @_quiet
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with a tensor of the same shape, or scaling by a
     Python number."""
+    ad, out = a.data, np.empty(a.shape)
     if isinstance(b, (int, float)):
         bval = float(b)
-        return _result(a.data * bval, "mul", (a,), lambda g: (g * bval,))
+        _run(lambda: np.multiply(ad, bval, out=out))
+        return _result(out, "mul", (a,), lambda g: (g * bval,))
     _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return _result(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
+    bd = b.data
+    _run(lambda: np.multiply(ad, bd, out=out))
+    return _result(out, "mul", (a, b), lambda g: (g * bd, g * ad))
 
 
 @_quiet
@@ -341,6 +481,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    out = np.empty((*a.shape[:-1], b.shape[-1]))
+    _run(lambda: np.matmul(ad, bd, out=out))
 
     def backward(g):
         # a constant operand, such as a randomized map, gets no gradient
@@ -349,14 +491,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ad.mT @ g if b.requires_grad else None,
         )
 
-    return _result(ad @ bd, "matmul", (a, b), backward)
+    return _result(out, "matmul", (a, b), backward)
 
 
-def stable_sigmoid(z: Array) -> Array:
-    """The logistic function of an array, without overflow at either end;
-    plain array math, not a graph op."""
+def stable_sigmoid(z: Array, out: Array | None = None) -> Array:
+    """The logistic function of an array, without overflow at either end,
+    into ``out`` if given; plain array math, not a graph op."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(z >= 0.0, 1.0, e), 1.0 + e, out=out)
 
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
@@ -393,14 +535,14 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     backward pass, since each activation's derivative follows from its
     output.
 
-    When nothing is recorded (under ``no_grad``, or with no input that
-    requires a gradient), nothing is kept, and each hidden layer writes
-    into a scratch buffer of the calling thread that its later calls
-    reuse: a repeated evaluation on one thread then maps and faults in no
-    fresh memory. A thread that lives for one call, as the helper threads
-    of ``trainer.evaluate`` do, allocates its buffers once per call. The
-    output is always a fresh array, so a caller may keep it across later
-    calls.
+    When nothing is recorded or traced (under ``no_grad``, or with no
+    input that requires a gradient), nothing is kept, and each hidden
+    layer writes into a scratch buffer of the calling thread that its
+    later calls reuse: a repeated evaluation on one thread then maps and
+    faults in no fresh memory. A thread that lives for one call, as the
+    helper threads of ``trainer.evaluate`` do, allocates its buffers once
+    per call. The output is always a fresh array, so a caller may keep it
+    across later calls.
     """
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")
@@ -409,59 +551,101 @@ def mlp(x: Tensor, params: Sequence[Tensor], kind: str) -> Tensor:
     if x.data.ndim != w0.ndim or x.shape[-1] != w0.shape[-1]:
         raise DimensionError(f"mlp expects x[..., n, {w0.shape[-1]}], got {x.shape}")
     parents = (x, *params)
-    record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    keep = _PLAN is not None or (_GRAD_ENABLED and any(p.requires_grad for p in parents))
     ws = [w.data for w in weights]
+    wts = [w.mT for w in ws]
     bs = [b.data[..., None, :] for b in biases]
     last = len(ws) - 1
-    inputs: list[Array] = []
-    h = x.data
-    for i, w in enumerate(ws):
-        if record:
-            inputs.append(h)
-            h = h @ w.mT
-        elif i < last:
-            h = np.matmul(h, w.mT, out=_scratch((*h.shape[:-1], w.shape[-2]), i % 2))
-        else:
-            h = h @ w.mT
-        h += bs[i]
-        _check(h, "linear")
-        if i == last:
-            break
-        if kind == "relu":
-            np.maximum(h, 0.0, out=h)
-        elif kind == "tanh":
-            np.tanh(h, out=h)
-        else:
-            h = stable_sigmoid(h)
-        _check(h, kind)
+    shapes = [(*x.shape[:-1], w.shape[-2]) for w in ws]
+    # each layer's affine map, and the activation of each hidden layer:
+    # in place, but for the sigmoid, whose output is an array of its own
+    affine = [
+        np.empty(s) if keep or i == last else _scratch(s, i % 2) for i, s in enumerate(shapes)
+    ]
+    acts = [np.empty(s) for s in shapes[:last]] if kind == "sigmoid" else affine[:last]
+    xd = x.data
 
-    def backward(g):
+    def forward():
+        h = xd
+        for i in range(last + 1):
+            h = np.matmul(h, wts[i], out=affine[i])
+            h += bs[i]
+            _check(h, "linear")
+            if i == last:
+                break
+            if kind == "relu":
+                np.maximum(h, 0.0, out=h)
+            elif kind == "tanh":
+                np.tanh(h, out=h)
+            else:
+                h = stable_sigmoid(h, out=acts[i])
+            _check(h, kind)
+
+    _run(forward)
+    inputs = [xd, *acts]  # the input of each layer
+
+    # the backward pass writes every gradient into arrays of its own, made
+    # at its first run, so a replayed plan allocates none. Each run
+    # overwrites the last one's, which is safe as a walk consumes them
+    # before it runs this closure again: a leaf copies its gradient, and
+    # only the input gradient, which no ``mlp_again`` node asks for, waits
+    # in a slot
+    arrays: list[list[Array]] = []
+
+    def backward(g, input_grad=x.requires_grad):
+        if not arrays:
+            arrays.extend((
+                [np.empty(w.shape) for w in ws],
+                [np.empty(b.shape) for b in biases],
+                [np.empty(a.shape) for a in inputs],
+                [np.empty(a.shape, dtype=bool) for a in inputs],
+            ))
+        out_w, out_b, out_h, masks = arrays
         grads: list[Array | None] = [None] * len(parents)
         for i in range(last, -1, -1):
             if weights[i].requires_grad:
-                grads[2 * i + 1] = g.mT @ inputs[i]
+                grads[2 * i + 1] = np.matmul(g.mT, inputs[i], out=out_w[i])
             if biases[i].requires_grad:
-                grads[2 * i + 2] = g.sum(axis=-2)
+                grads[2 * i + 2] = np.add.reduce(g, axis=-2, out=out_b[i])
             if i == 0:
-                if x.requires_grad:
-                    grads[0] = g @ ws[0]
+                if input_grad:
+                    grads[0] = np.matmul(g, ws[0], out=out_h[0])
                 break
-            g = g @ ws[i]
+            g = np.matmul(g, ws[i], out=out_h[i])
             a = inputs[i]  # the activation's output
             if kind == "relu":
-                g = g * (a > 0.0)
+                g *= np.greater(a, 0.0, out=masks[i])
             elif kind == "tanh":
-                g = g * (1.0 - a * a)
+                g *= 1.0 - a * a
             else:
-                g = g * a * (1.0 - a)
+                g *= a
+                g *= 1.0 - a
         return grads
 
-    return _node(h, "mlp", parents, backward)
+    return _node(affine[last], "mlp", parents, backward)
+
+
+def mlp_again(out: Tensor, x: Tensor) -> Tensor:
+    """``out``, an ``mlp`` node, as the output of the same network applied
+    to ``x``, which must hold the values of out's input (the model passes
+    that input detached). Nothing is computed: the new node shares out's
+    array and kept layer inputs. Its parents are (x, *params), as those of
+    a fresh ``mlp`` call would be, so a backward walk visits the same
+    nodes in the same order and gets the same bits. Its backward returns
+    no gradient to x, which therefore must not require one."""
+    if out.op != "mlp" or x.requires_grad:
+        raise GraphError(f"mlp_again needs an mlp node and an input without a gradient, "
+                         f"got {out!r} and {x!r}")
+    backward = out._backward
+    if backward is None:
+        return _node(out.data, "mlp", (), None)
+    return _node(out.data, "mlp", (x, *out._parents[1:]), lambda g: backward(g, False))
 
 
 @_quiet
 def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
+    xd, e = x.data, np.empty(x.shape)
+    _run(lambda: np.exp(xd, out=e))
     return _result(e, "exp", (x,), lambda g: (g * e,))
 
 
@@ -472,8 +656,13 @@ def log_softmax(x: Tensor) -> Tensor:
         raise DimensionError(f"log_softmax needs [..., batch, C], got {x.shape}")
     if x.shape[-1] < 2:
         raise DimensionError(f"log_softmax needs C >= 2, got C={x.shape[-1]}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    xd, out = x.data, np.empty(x.shape)
+
+    def forward():
+        shifted = xd - xd.max(axis=-1, keepdims=True)
+        np.subtract(shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True)), out=out)
+
+    _run(forward)
     # the softmax is taken in the backward pass, so a pass that records no
     # graph never computes it
     return _result(
@@ -491,21 +680,30 @@ def mean_log_sigmoid(x: Tensor, floor: float, negate: bool = False) -> Tensor:
     non-finite check names the step of that chain that produced the
     value: 'mul' (the negation), 'log_sigmoid', 'clamp_min' or 'mean'.
     """
-    z = x.data
-    if z.ndim < 2:
+    xd = x.data
+    if xd.ndim < 2:
         raise DimensionError(f"mean_log_sigmoid needs [..., n, d], got {x.shape}")
-    if negate:
-        z = z * -1.0
-        _check(z, "mul")
-    e = np.exp(-np.abs(z))
-    ls = np.minimum(z, 0.0) - np.log1p(e)
-    _check(ls, "log_sigmoid")
-    mask = ls > floor
-    clamped = np.where(mask, ls, floor)
-    _check(clamped, "clamp_min")
-    out = np.asarray(clamped.mean(axis=(-2, -1)))
-    _check(out, "mean")
-    n = z.shape[-2] * z.shape[-1]
+    z = np.empty(xd.shape) if negate else xd
+    e, mask = np.empty(xd.shape), np.empty(xd.shape, dtype=bool)
+    out = np.empty(xd.shape[:-2])
+    n = xd.shape[-2] * xd.shape[-1]
+
+    def forward():
+        if negate:
+            np.multiply(xd, -1.0, out=z)
+            _check(z, "mul")
+        np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+        ls = np.minimum(z, 0.0)
+        ls -= np.log1p(e)
+        _check(ls, "log_sigmoid")
+        np.greater(ls, floor, out=mask)
+        clamped = np.where(mask, ls, floor)
+        _check(clamped, "clamp_min")
+        # np.mean's own steps: the sum, then the division by the count
+        np.divide(np.add.reduce(clamped, axis=(-2, -1), out=out), n, out=out)
+        _check(out, "mean")
+
+    _run(forward)
 
     def backward(g):
         # the sigmoid of z, as stable_sigmoid computes it from the same e
@@ -525,18 +723,20 @@ def row_outer(f: Tensor, p: Tensor) -> Tensor:
         raise DimensionError(f"row_outer batch sizes disagree: {f.shape} vs {p.shape}")
     fd, pd = f.data, p.data
     rows, df, dp = fd.shape[:-1], fd.shape[-1], pd.shape[-1]
-    out = (fd[..., :, None] * pd[..., None, :]).reshape(*rows, df * dp)
+    outer = np.empty((*rows, df, dp))
+    _run(lambda: np.multiply(fd[..., :, None], pd[..., None, :], out=outer))
 
     def bwd(g):
         gm = g.reshape(*rows, df, dp)
         return np.einsum("...iab,...ib->...ia", gm, pd), np.einsum("...iab,...ia->...ib", gm, fd)
 
-    return _result(out, "row_outer", (f, p), bwd)
+    return _result(outer.reshape(*rows, df * dp), "row_outer", (f, p), bwd)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
     """out[..., i] = x[..., i, idx[..., i]] for a [..., n, C] tensor and
-    integer labels."""
+    integer labels. A plan reads the labels from ``idx``'s array each time
+    it runs, so its caller refreshes them in place."""
     if x.data.ndim < 2:
         raise DimensionError(f"gather_rows needs [..., n, C], got {x.shape}")
     idx = np.asarray(idx)
@@ -548,24 +748,26 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     if idx.min() < 0 or idx.max() >= c:
         raise ValueError(f"gather_rows index out of range [0, {c})")
     # every row of every replica as one [rows, C] table
-    flat = idx.reshape(-1)
-    rows = np.arange(flat.size)
-    out = x.data.reshape(-1, c)[rows, flat].reshape(idx.shape)
+    xd, rows, out = x.data, np.arange(idx.size), np.empty(idx.shape)
+    _run(lambda: np.copyto(out, xd.reshape(-1, c)[rows, idx.reshape(-1)].reshape(idx.shape)))
 
     def bwd(g):
-        gx = np.zeros((flat.size, c))
-        gx[rows, flat] = g.reshape(-1)
+        gx = np.zeros((rows.size, c))
+        gx[rows, idx.reshape(-1)] = g.reshape(-1)
         return (gx.reshape(shape),)
 
     return _result(out, "gather_rows", (x,), bwd)
 
 
-def grad_reversal(x: Tensor, coeff: float = 1.0) -> Tensor:
-    """Identity forward; backward multiplies the upstream gradient by -coeff."""
-    coeff = float(coeff)
-    if coeff < 0.0:
-        raise ValueError(f"grad_reversal coeff must be nonnegative, got {coeff}")
-    return _result(x.data, "grad_reversal", (x,), lambda g: (g * (-coeff),))
+def grad_reversal(x: Tensor, coeff=1.0) -> Tensor:
+    """Identity forward; backward multiplies the upstream gradient by
+    -coeff. ``coeff`` is a number, or a one-element float array that the
+    backward pass reads each time it runs, so that a replayed ``Plan``
+    takes the coefficient set in it then."""
+    cell = np.asarray(coeff, dtype=np.float64).reshape(1)
+    if cell[0] < 0.0:
+        raise ValueError(f"grad_reversal coeff must be nonnegative, got {float(cell[0])}")
+    return _result(x.data, "grad_reversal", (x,), lambda g: (g * -cell[0],))
 
 
 def _spread(g: Array, shape: tuple[int, ...], axis) -> Array:

@@ -1,8 +1,9 @@
 """Command-line entry point: gen, train, eval, ablate, gradcheck.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
-3 runtime abort (non-finite loss or evaluation, unreadable checkpoint).
-Commands raise; ``main`` alone maps each failure to its code.
+3 runtime abort (non-finite loss or evaluation, unreadable checkpoint),
+130 interrupted by SIGINT, 143 interrupted by SIGTERM. Commands raise;
+``main`` alone maps each failure to its code.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import json
 import math
 import os
-import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,6 +36,7 @@ from .trainer import (
     CheckpointError,
     TrainConfig,
     TrainingAborted,
+    TrainingInterrupted,
     ablation_run,
     atomic_write,
     config_from_flat,
@@ -52,6 +53,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ABORT = 3
+# as a shell reports a process that a signal ended: 128 + the signal number
+EXIT_SIGINT = 130
+EXIT_SIGTERM = 143
 
 # the flags of train and ablate, each with the flat config key it sets;
 # the key's field gives the flag's type and choices
@@ -81,6 +85,11 @@ class CliError(Exception):
         self.code = code
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread by the handler ``main`` installs,
+    so that it unwinds a command as Ctrl-C does."""
+
+
 @functools.lru_cache(maxsize=None)
 def _version_string() -> str:
     """``__version__``, plus ``+<git describe>`` when the package runs from
@@ -89,6 +98,10 @@ def _version_string() -> str:
     Computed once per process, and never from the caller's working
     directory, which may be some other repository.
     """
+    # imported here: nothing else on a command's path needs it, and it
+    # cost every start several milliseconds
+    import subprocess
+
     root = Path(__file__).resolve().parent.parent.parent
     if (root / ".git").exists() and (root / "pyproject.toml").is_file():
         try:
@@ -256,16 +269,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = _utcnow()
     _manifest(manifest_path, cfg, outputs, "running", {"started_at": started})
 
+    completed = 0
     try:
         result = train(cfg, data, metrics_path=metrics_path)
+        completed = cfg.total_steps
         source_acc, target_acc = final_accuracies(result, data, cfg.seed)
         save_checkpoint(result.suite, cfg, ckpt_path, step=cfg.total_steps)
     except BaseException as err:
-        # every failure, Ctrl-C included, still ends the manifest: an abort
-        # with its diagnostic, anything else as failed
+        # every failure still ends the manifest: an abort with its
+        # diagnostic, Ctrl-C or SIGTERM as interrupted with the last step
+        # whose update completed, anything else as failed
         ended = {"started_at": started, "finished_at": _utcnow()}
         status = "failed"
-        if isinstance(err, TrainingAborted):
+        if isinstance(err, KeyboardInterrupt):
+            status = "interrupted"
+            ended["step"] = err.step if isinstance(err, TrainingInterrupted) else completed
+        elif isinstance(err, TrainingAborted):
             ended["diagnostic"] = os.path.join(args.out, "abort.json")
             dump = {"error": str(err), "step": err.step}
             if err.last_breakdown is not None:
@@ -462,6 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _raise_terminated(signum, frame):
+    raise Terminated("terminated")
+
+
 def main(argv=None) -> int:
     pin_blas_threads()
     parser = build_parser()
@@ -470,8 +493,21 @@ def main(argv=None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(err.code or 0)
+    # imported here, as only a running command needs it. A handler can be
+    # set from the main thread only; the previous one is put back on return
+    import signal
+    import threading
+
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         return args.func(args)
+    except KeyboardInterrupt as err:
+        terminated = isinstance(err, Terminated) or isinstance(err.__cause__, Terminated)
+        print(f"error: {'SIGTERM' if terminated else 'SIGINT'}: {err or 'interrupted'}",
+              file=sys.stderr)
+        return EXIT_SIGTERM if terminated else EXIT_SIGINT
     except (CliError, TrainingAborted, NonFiniteError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, CliError):
@@ -480,6 +516,9 @@ def main(argv=None) -> int:
         if isinstance(err, (TrainingAborted, NonFiniteError, CheckpointError)):
             return EXIT_ABORT
         return EXIT_USAGE
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ discriminator keeps training.
 
 ``rig_minimax=False`` builds the same values without any reversal nodes;
 that variant is a plain differentiable function of the parameters, which
-is what finite-difference checking needs.
+is what finite-difference checking needs. ``grl_coeff`` is a number, or
+the one-element array that a traced step sets anew before each replay
+(see ``autodiff.grad_reversal``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .autodiff import (
     gather_rows,
     grad_reversal,
     mean_log_sigmoid,
+    mlp_again,
     mul,
     sub,
 )
@@ -154,6 +157,7 @@ def translation_loss_s2t(
     weights: LossWeights,
     grl_coeff: float = 1.0,
     rig_minimax: bool = True,
+    f_fake: Tensor | None = None,
 ) -> Tensor:
     """Source-to-target translation game plus semantic consistency.
 
@@ -161,9 +165,10 @@ def translation_loss_s2t(
     cross-entropy of the predictor on translated features against the
     source labels (the translation must not change class identity). The
     cross-entropy path carries no reversal: predictor and translator
-    descend it directly.
+    descend it directly. ``f_fake`` is s2t(f_s), when the caller has it.
     """
-    f_fake = suite.s2t(f_s)
+    if f_fake is None:
+        f_fake = suite.s2t(f_s)
     adv = adversarial_pair(suite.target_disc, f_t, f_fake, grl_coeff, rig_minimax)
     if weights.beta == 0.0:
         return adv
@@ -177,10 +182,13 @@ def translation_loss_t2s(
     f_t: Tensor,
     grl_coeff: float = 1.0,
     rig_minimax: bool = True,
+    f_fake: Tensor | None = None,
 ) -> Tensor:
     """Target-to-source translation game; no label term, target labels
-    do not exist at training time."""
-    f_fake = suite.t2s(f_t)
+    do not exist at training time. ``f_fake`` is t2s(f_t), when the caller
+    has it."""
+    if f_fake is None:
+        f_fake = suite.t2s(f_t)
     return adversarial_pair(suite.source_disc, f_s, f_fake, grl_coeff, rig_minimax)
 
 
@@ -189,7 +197,13 @@ def _mean_row_sq_norm(d: Tensor) -> Tensor:
     return mul(mul(d, d).sum(axis=(-2, -1)), 1.0 / n)
 
 
-def cycle_loss(suite: ModelSuite, f_s: Tensor, f_t: Tensor) -> Tensor:
+def cycle_loss(
+    suite: ModelSuite,
+    f_s: Tensor,
+    f_t: Tensor,
+    fake_t: Tensor | None = None,
+    fake_s: Tensor | None = None,
+) -> Tensor:
     """Round-trip reconstruction error through both translators:
     E[||t2s(s2t(f_s)) - f_s||^2] + E[||s2t(t2s(f_t)) - f_t||^2].
 
@@ -197,11 +211,17 @@ def cycle_loss(suite: ModelSuite, f_s: Tensor, f_t: Tensor) -> Tensor:
     detached. Letting the feature learner descend it too opens a cheat:
     features drift toward the translators' fixed points, which keeps
     source accuracy but destroys target alignment.
+
+    ``fake_t`` and ``fake_s``, when given, are s2t(f_s) and t2s(f_t) as the
+    translation terms computed them; their forwards are reused on the
+    detached features (``autodiff.mlp_again``) rather than run again.
     """
     f_s = f_s.detach()
     f_t = f_t.detach()
-    back_s = suite.t2s(suite.s2t(f_s))
-    back_t = suite.s2t(suite.t2s(f_t))
+    mid_s = suite.s2t(f_s) if fake_t is None else mlp_again(fake_t, f_s)
+    mid_t = suite.t2s(f_t) if fake_s is None else mlp_again(fake_s, f_t)
+    back_s = suite.t2s(mid_s)
+    back_t = suite.s2t(mid_t)
     return add(_mean_row_sq_norm(sub(back_s, f_s)), _mean_row_sq_norm(sub(back_t, f_t)))
 
 
@@ -212,6 +232,7 @@ def total_loss(
     weights: LossWeights,
     grl_coeff: float = 1.0,
     rig_minimax: bool = True,
+    terms: list | None = None,
 ) -> tuple[Tensor, LossBreakdown | list[LossBreakdown]]:
     """One optimization scalar for the whole model, plus its breakdown.
 
@@ -223,6 +244,12 @@ def total_loss(
     Batches stacked along a leading replica axis (x[K, n, in], labels
     [K, n]) for a stacked suite give one total per replica, a [K] tensor,
     and a list of K breakdowns.
+
+    ``terms``, a list, receives the seven term tensors in LossBreakdown's
+    field order (None for a skipped one), so that a caller that replays
+    their ops (``autodiff.Plan``) can read them again with
+    ``loss_breakdowns``. Each translator runs once per batch: the cycle
+    term reuses the translation terms' forwards.
     """
     x_s, y_s = batch_s
     f_s = suite.features(x_s)
@@ -247,20 +274,32 @@ def total_loss(
         total = add(total, mul(l_dom, weights.lam))
     l_con = total
 
+    fake_t = fake_s = None
     if weights.eta1 > 0.0:
+        fake_t = suite.s2t(f_s)
         l_s2t = translation_loss_s2t(
-            suite, f_s, y_s, f_t, weights, grl_coeff, rig_minimax
+            suite, f_s, y_s, f_t, weights, grl_coeff, rig_minimax, fake_t
         )
-        l_t2s = translation_loss_t2s(suite, f_s, f_t, grl_coeff, rig_minimax)
+        fake_s = suite.t2s(f_t)
+        l_t2s = translation_loss_t2s(suite, f_s, f_t, grl_coeff, rig_minimax, fake_s)
         total = add(total, mul(add(l_s2t, l_t2s), weights.eta1))
 
     if weights.eta2 > 0.0:
-        l_cyc = cycle_loss(suite, f_s, f_t)
+        l_cyc = cycle_loss(suite, f_s, f_t, fake_t, fake_s)
         total = add(total, mul(l_cyc, weights.eta2))
 
-    terms = (l_cls, l_dom, l_con, l_s2t, l_t2s, l_cyc, total)
+    kept = (l_cls, l_dom, l_con, l_s2t, l_t2s, l_cyc, total)
+    if terms is not None:
+        terms.extend(kept)
+    return total, loss_breakdowns(kept)
+
+
+def loss_breakdowns(terms) -> LossBreakdown | list[LossBreakdown]:
+    """The breakdown of the seven term tensors (None for a skipped term),
+    from the values they hold now; one per replica when they are stacked."""
+    total = terms[-1]
     if total.data.ndim == 0:
-        return total, LossBreakdown(*(0.0 if t is None else t.item() for t in terms))
+        return LossBreakdown(*(0.0 if t is None else t.item() for t in terms))
     skipped = [0.0] * total.shape[0]
     columns = [skipped if t is None else t.data.tolist() for t in terms]
-    return total, [LossBreakdown(*row) for row in zip(*columns)]
+    return [LossBreakdown(*row) for row in zip(*columns)]

@@ -138,12 +138,15 @@ class Sgd:
 
     Every parameter's ``data`` becomes a view into one flat float64 buffer
     (so parameters must be updated in place, not rebound, while the
-    optimizer owns them), and the velocity is one flat buffer beside it.
-    ``step`` checks the whole gradient for finiteness once, before any
-    parameter moves, then updates each contiguous run of parameters that
-    has a gradient with a few whole-run numpy calls; runs without a
-    gradient only decay their velocity. It clears the gradients it
-    consumed.
+    optimizer owns them), and the velocity and the gradient are flat
+    buffers beside it. ``Tensor.backward`` writes a parameter's gradient
+    straight into its view of the gradient buffer and sets ``grad`` to
+    that view, which the next backward pass overwrites; a ``grad`` that
+    the caller assigned is copied into the buffer by ``step``. ``step``
+    checks the whole gradient for finiteness once, before any parameter
+    moves, then updates each contiguous run of parameters that has a
+    gradient with a few whole-run numpy calls; runs without a gradient
+    only decay their velocity. It clears the gradients it consumed.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float, momentum: float = 0.0,
@@ -164,6 +167,8 @@ class Sgd:
         self._grad = np.zeros_like(self.flat)
         self._tmp = np.empty_like(self.flat)
         self._mask = np.empty(self.flat.shape, dtype=bool)
+        for p, a, b in zip(self.params, self.offsets, self.offsets[1:]):
+            p._grad_out = self._grad[a:b].reshape(p.shape)
 
     def step(self) -> None:
         grads = [p.grad for p in self.params]
@@ -171,10 +176,11 @@ class Sgd:
             (self.offsets[a], self.offsets[b], grads[a:b] if has_grad else None)
             for a, b, has_grad in _runs(grads)
         ]
-        # gather before any update so that a non-finite gradient moves nothing
-        for lo, hi, run_grads in runs:
-            if run_grads is not None:
-                np.concatenate([g.reshape(-1) for g in run_grads], out=self._grad[lo:hi])
+        # a gradient the caller assigned joins the buffer before any update,
+        # so that a non-finite gradient moves nothing
+        for p, g in zip(self.params, grads):
+            if g is not None and g is not p._grad_out:
+                p._grad_out[...] = np.reshape(g, p.shape)
         finite = np.isfinite(self._grad, out=self._mask)
         for lo, hi, run_grads in runs:
             if run_grads is not None and not finite[lo:hi].all():

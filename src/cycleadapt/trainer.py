@@ -23,6 +23,7 @@ from .autodiff import (
     check_finite,
     no_grad,
     stable_sigmoid,
+    trace,
     unchecked,
 )
 from .data import DomainPair
@@ -30,6 +31,7 @@ from .losses import (
     ABLATION_MODES,
     LossBreakdown,
     LossWeights,
+    loss_breakdowns,
     resolve_weights,
     total_loss,
 )
@@ -62,6 +64,19 @@ class TrainingAborted(RuntimeError):
         # rebuild from the constructor's arguments, so the abort survives
         # the trip back from a ladder worker process
         return (type(self), (self.args[0], self.last_breakdown, self.step))
+
+
+class TrainingInterrupted(KeyboardInterrupt):
+    """Ctrl-C, or a SIGTERM that ``cli.main`` raised as an exception,
+    stopped ``train``; ``step`` is the last step whose update completed.
+    ``__cause__`` is the interrupt itself."""
+
+    def __init__(self, step: int):
+        super().__init__(f"interrupted after step {step}")
+        self.step = step
+
+    def __reduce__(self):
+        return (type(self), (self.step,))
 
 
 class CheckpointError(ValueError):
@@ -431,29 +446,39 @@ def _grl_step(
     y_s: np.ndarray,
     x_t: Tensor | None,
     weights: LossWeights,
-    grl_coeff: float,
+    grl_coeff,
+    terms: list | None = None,
 ) -> list[LossBreakdown]:
-    """One descent step of a stacked suite on the rigged objective; one
-    breakdown per replica.
+    """One descent step of a stacked suite on the rigged objective, built
+    as a graph; one breakdown per replica.
 
     The batches carry a leading replica axis. The K replica losses are
     summed for one backward pass: the sum passes each replica a gradient
-    of exactly 1.0, so each gets its own gradient.
-
-    Forward and backward run without per-op finiteness checks; the losses
-    are checked here and the flat gradient inside ``opt.step``, once each,
-    before any parameter moves. If either is non-finite, the first replica
-    whose loss or gradient is, is replayed alone on its per-seed view with
-    checks on (which run with numpy's warnings off), and ``_ReplicaFailed`` carries
-    what the replay raised: the op that went non-finite first, as a fully
-    checked step would name it. A replay that passes leaves the
-    optimizer's ``sgd_step`` error.
+    of exactly 1.0, so each gets its own gradient. Forward and backward
+    run without per-op finiteness checks, and ``_descend`` checks and
+    applies the step. ``terms`` receives the loss terms (see
+    ``total_loss``).
     """
     with unchecked():
         total, breakdowns = total_loss(
-            suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True
+            suite, (x_s, y_s), x_t, weights, grl_coeff, rig_minimax=True, terms=terms
         )
         total.sum().backward()
+    _descend(suite, opt, breakdowns, x_s, y_s, x_t, weights, grl_coeff)
+    return breakdowns
+
+
+def _descend(suite, opt, breakdowns, x_s, y_s, x_t, weights, grl_coeff) -> None:
+    """Check a computed step and apply it.
+
+    The losses are checked here and the flat gradient inside
+    ``opt.step``, once each, before any parameter moves. If either is
+    non-finite, the first replica whose loss or gradient is, is replayed
+    alone on its per-seed view with checks on (which run with numpy's
+    warnings off), and ``_ReplicaFailed`` carries what the replay raised:
+    the op that went non-finite first, as a fully checked step would name
+    it. A replay that passes leaves the optimizer's ``sgd_step`` error.
+    """
     try:
         if not all(math.isfinite(b.l_total) for b in breakdowns):
             raise NonFiniteError("total_loss")
@@ -474,7 +499,60 @@ def _grl_step(
         if bad:
             err = NonFiniteError("sgd_step", f"gradient of parameter {bad[0]}")
         raise _ReplicaFailed(k, err) from err
-    return breakdowns
+
+
+class _TracedStep:
+    """The descent step of one ``train`` call, as a graph once and then as
+    a replayed plan.
+
+    A step's graph depends only on the mode, the replica count, the batch
+    size and the architecture, so its ops, array shapes and gradient
+    order are the same at every step. The first call copies its batches
+    into new input arrays, runs ``_grl_step`` on them (``total_loss`` and
+    ``Tensor.backward``, the one definition of the step) and traces it
+    into an ``autodiff.Plan``. Every later call copies its batch rows and
+    labels into those arrays, sets the GRL coefficient in the one cell
+    that the reversal nodes read, replays the plan unchecked, reads the
+    loss terms again, and checks and applies the step with
+    ``_descend``: a failure is still located by the checked replay of
+    ``total_loss``, so its error names the same op. The plan and its
+    arrays live as long as this object: one ``train`` call.
+    """
+
+    def __init__(self, suite: ModelSuite, opt: Sgd, data: DomainPair, weights: LossWeights):
+        self.suite, self.opt, self.data, self.weights = suite, opt, data, weights
+        self.coeff = np.zeros(1)
+        self.terms: list = []
+        self.plan = None
+
+    def __call__(self, idx_s: np.ndarray, idx_t: np.ndarray | None,
+                 grl_coeff: float) -> list[LossBreakdown]:
+        data = self.data
+        self.coeff[0] = grl_coeff
+        if self.plan is None:
+            self.x_s, self.y_s = Tensor(data.x_s[idx_s]), data.y_s[idx_s]
+            self.x_t = None if idx_t is None else Tensor(data.x_t[idx_t])
+            with trace() as plan:
+                breakdowns = _grl_step(self.suite, self.opt, self.x_s, self.y_s, self.x_t,
+                                       self.weights, self.coeff, self.terms)
+            self.plan = plan
+            return breakdowns
+        # "clip" takes rows without buffering the output; the indices are
+        # in range, so it gives the rows that "raise" would
+        np.take(data.x_s, idx_s, axis=0, out=self.x_s.data, mode="clip")
+        np.take(data.y_s, idx_s, out=self.y_s, mode="clip")
+        if idx_t is not None:
+            np.take(data.x_t, idx_t, axis=0, out=self.x_t.data, mode="clip")
+        # the check a new Tensor makes of its data, as the first step made
+        for x in (self.x_s, self.x_t):
+            if x is not None and not np.isfinite(x.data).all():
+                raise NonFiniteError("tensor", "non-finite input data")
+        with unchecked():
+            self.plan.run()
+        breakdowns = loss_breakdowns(self.terms)
+        _descend(self.suite, self.opt, breakdowns, self.x_s, self.y_s, self.x_t,
+                 self.weights, self.coeff)
+        return breakdowns
 
 
 def _replay(suite, x_s, y_s, x_t, weights, grl_coeff) -> None:
@@ -562,6 +640,11 @@ def train(
     training the seed alone. A result's suite is a per-seed view into the
     group's parameters. An abort names the seed of the first replica that
     went non-finite. ``metrics_path`` takes a group of one only.
+
+    Step 1 builds the step's graph and traces it; steps 2..N replay the
+    trace (see ``_TracedStep``), which is dropped when this returns. A
+    KeyboardInterrupt during the steps is raised again as
+    TrainingInterrupted, naming the last step whose update completed.
     """
     if data.num_classes != cfg.arch.num_classes:
         raise ValueError(
@@ -585,6 +668,8 @@ def train(
     histories: list[list[MetricsRow]] = [[] for _ in views]
     writer = _MetricsWriter(metrics_path) if metrics_path is not None else None
     last: list[LossBreakdown | None] = [None] * len(views)
+    descend = _TracedStep(suite, opt, data, weights)
+    completed = 0
     try:
         for step in range(1, cfg.total_steps + 1):
             progress = step / cfg.total_steps
@@ -592,19 +677,12 @@ def train(
 
             # row indices [K, n], one row of indices per replica
             idx_s = np.stack([src.next() for src, _ in streams])
-            x_s = Tensor(data.x_s[idx_s])
-            y_s = data.y_s[idx_s]
-            x_t = (
-                Tensor(data.x_t[np.stack([tgt.next() for _, tgt in streams])])
-                if weights.needs_target
-                else None
+            idx_t = (
+                np.stack([tgt.next() for _, tgt in streams]) if weights.needs_target else None
             )
 
             try:
-                breakdowns = _grl_step(
-                    suite, opt, x_s, y_s, x_t, weights,
-                    _grl_coeff(cfg.grl_schedule, progress),
-                )
+                breakdowns = descend(idx_s, idx_t, _grl_coeff(cfg.grl_schedule, progress))
             except _ReplicaFailed as failed:
                 k = failed.index
                 raise TrainingAborted(
@@ -612,6 +690,7 @@ def train(
                     last[k], step,
                 ) from failed.error
             last = breakdowns
+            completed = step
 
             if step % cfg.eval_every == 0 or step == cfg.total_steps:
                 for c, view, breakdown, history in zip(cfgs, views, breakdowns, histories):
@@ -628,6 +707,8 @@ def train(
                     history.append(row)
                     if writer is not None:
                         writer.write(row)
+    except KeyboardInterrupt as err:
+        raise TrainingInterrupted(completed) from err
     finally:
         if writer is not None:
             writer.close()

@@ -20,11 +20,13 @@ from cycleadapt.autodiff import (
     matmul,
     mean_log_sigmoid,
     mlp,
+    mlp_again,
     mul,
     no_grad,
     row_outer,
     stable_sigmoid,
     sub,
+    trace,
     unchecked,
 )
 
@@ -835,3 +837,84 @@ class TestCentralDifferences:
         _assert_matches_central_differences(
             lambda t: grad_reversal(t[0], coeff), arrays, rng, scale=-coeff
         )
+
+
+class TestTrace:
+    def _setup(self, rng):
+        x = Tensor(rng.standard_normal((2, 4, 3)))
+        params = [
+            Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True),
+            Tensor(rng.standard_normal((2, 5)), requires_grad=True),
+            Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True),
+            Tensor(rng.standard_normal((2, 3)), requires_grad=True),
+        ]
+        labels = rng.integers(0, 3, (2, 4))
+        coeff = np.array([0.3])
+
+        def loss():
+            h = mlp(x, params, "tanh")
+            lp = log_softmax(grad_reversal(add(h, mul(h, h)), coeff))
+            return mul(gather_rows(lp, labels).mean(axis=-1), -1.0).sum()
+
+        return x, params, labels, coeff, loss
+
+    def test_plan_replays_new_inputs_bitwise(self):
+        rng = np.random.default_rng(0)
+        x, params, labels, coeff, loss = self._setup(rng)
+        with trace() as plan:
+            loss().backward()
+        # new inputs, labels, coefficient and weights, all in place
+        x.data[...] = rng.standard_normal(x.shape)
+        labels[...] = rng.integers(0, 3, labels.shape)
+        coeff[0] = 0.7
+        for p in params:
+            p.data += 0.1
+            p.grad = None
+        with unchecked():
+            plan.run()
+        replayed = [p.grad.copy() for p in params]
+        for p in params:
+            p.grad = None
+        loss().backward()
+        for got, p in zip(replayed, params):
+            assert np.array_equal(got, p.grad)
+
+    def test_a_leaf_grad_is_its_own_array(self):
+        # the closures reuse their arrays, so a kept grad must not be one
+        rng = np.random.default_rng(1)
+        x, params, _, _, loss = self._setup(rng)
+        out = loss()
+        out.backward()
+        kept = [p.grad.copy() for p in params]
+        grads = [p.grad for p in params]
+        for p in params:
+            p.grad = None
+        out.backward()
+        for k, g in zip(kept, grads):
+            assert np.array_equal(k, g)
+
+
+class TestMlpAgain:
+    def test_equals_a_second_application_bitwise(self):
+        rng = np.random.default_rng(2)
+        x0 = rng.standard_normal((4, 3))
+        start = [rng.standard_normal(s) for s in ((5, 3), (5,), (2, 5), (2,))]
+        w = [rng.standard_normal((4, 2)) for _ in range(2)]
+        runs = []
+        for reuse in (True, False):
+            x = Tensor(x0, requires_grad=True)
+            params = [Tensor(a.copy(), requires_grad=True) for a in start]
+            first = mlp(x, params, "relu")
+            second = mlp_again(first, x.detach()) if reuse else mlp(x.detach(), params, "relu")
+            add(mul(first, Tensor(w[0])).sum(), mul(second, Tensor(w[1])).sum()).backward()
+            runs.append((second, [x.grad, *(p.grad for p in params)]))
+        (again, reused), (fresh, plain) = runs
+        assert again.op == fresh.op == "mlp" and np.array_equal(again.data, fresh.data)
+        for a, b in zip(reused, plain):
+            assert np.array_equal(a, b)
+
+    def test_rejects_an_input_that_takes_a_gradient(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = mlp(x, [Tensor(np.ones((1, 3)), requires_grad=True), Tensor(np.zeros(1))], "relu")
+        with pytest.raises(GraphError):
+            mlp_again(out, x)

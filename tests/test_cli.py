@@ -1,8 +1,10 @@
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -507,6 +509,36 @@ def test_version_ignores_the_callers_repository(tmp_path):
     ).stdout.strip()
     assert out.startswith(cycleadapt.__version__)
     assert foreign not in out
+
+
+@pytest.mark.parametrize("name, code", [("SIGINT", 130), ("SIGTERM", 143)])
+def test_a_signal_ends_train_interrupted_with_one_error_line(tmp_path, dataset, name, code):
+    source, target = dataset
+    out = tmp_path / "run"
+    src = Path(cycleadapt.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycleadapt.cli", "train", "--source", str(source),
+         "--target", str(target), "--out", str(out), "--steps", "10000000",
+         "--eval-every", "50"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        # a logged row shows that 50 steps have completed
+        metrics, deadline = out / "metrics.csv", time.monotonic() + 60
+        while not (metrics.exists() and len(metrics.read_text().splitlines()) > 1):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(getattr(signal, name))
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == code
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {name}: interrupted after step ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted"
+    assert manifest["step"] == int(err.split()[-1]) >= 50
 
 
 def _with_value(path, line, column, text):

@@ -327,3 +327,19 @@ class TestTotalLoss:
         total, bd = total_loss(suite, (Tensor(x_s), y_s), Tensor(x_t), LossWeights())
         assert math.isfinite(total.item())
         assert math.isfinite(bd.l_dom)
+
+
+def test_each_translator_runs_once_per_batch(monkeypatch, small_batch):
+    # the cycle term reuses the translation terms' forwards
+    x_s, y_s, x_t = small_batch
+    suite = build_suite(SMALL_ARCH)
+    calls = {}
+    real = Mlp.forward_logits
+
+    def counting(self, x):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real(self, x)
+
+    monkeypatch.setattr(Mlp, "forward_logits", counting)
+    total_loss(suite, (Tensor(x_s), y_s), Tensor(x_t), LossWeights())
+    assert calls[id(suite.s2t)] == calls[id(suite.t2s)] == 2

@@ -161,6 +161,29 @@ class TestSgd:
             loss.backward()
             opt.step()
 
+    def test_backward_writes_the_gradient_into_the_flat_buffer(self):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        opt = Sgd([p], lr=0.5)
+        mul(p, p).sum().backward()
+        view = p.grad
+        assert np.shares_memory(view, opt._grad)
+        np.testing.assert_array_equal(view, [2.0, 4.0])
+        opt.step()
+        assert p.grad is None
+        # the next pass overwrites the same view
+        mul(p, p).sum().backward()
+        assert p.grad is view
+        np.testing.assert_array_equal(view, [0.0, 0.0])
+
+    def test_a_grad_assigned_by_the_caller_replaces_the_backward_one(self):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        opt = Sgd([p], lr=0.5)
+        mul(p, p).sum().backward()
+        p.grad = np.array([1.0, -1.0])
+        opt.step()
+        np.testing.assert_array_equal(p.data, [0.5, 2.5])
+        assert p.grad is None
+
     def test_non_finite_gradient_raises(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([np.inf])

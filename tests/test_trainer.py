@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import cycleadapt.autodiff as autodiff
-import cycleadapt.losses as losses_mod
 import cycleadapt.trainer as trainer_mod
 from cycleadapt.autodiff import DimensionError, NonFiniteError, Tensor, no_grad
 from cycleadapt.data import default_benchmark_pair, gen_two_moons_pair, ShiftSpec
@@ -97,16 +96,20 @@ class TestTrainBasics:
             train(replace(cfg, arch=bad_arch), PAIR)
 
     def test_nan_abort_carries_last_breakdown(self, monkeypatch):
+        from cycleadapt.nn import Sgd
+
+        # steps 2.. replay a traced plan and call no total_loss, so the
+        # weight is poisoned after step 2's update, for step 3's forward
         calls = {"n": 0}
-        real = losses_mod.total_loss
+        real_step = Sgd.step
 
-        def exploding(suite, *args, **kwargs):
+        def exploding(opt):
+            real_step(opt)
             calls["n"] += 1
-            if calls["n"] == 3:
-                suite.features.layers[0].weight.data.flat[0] = np.inf
-            return real(suite, *args, **kwargs)
+            if calls["n"] == 2:
+                opt.params[0].data.flat[0] = np.inf
 
-        monkeypatch.setattr("cycleadapt.trainer.total_loss", exploding)
+        monkeypatch.setattr(Sgd, "step", exploding)
         with pytest.raises(TrainingAborted) as exc:
             train(quick_cfg(), PAIR)
         assert exc.value.step == 3
@@ -143,7 +146,7 @@ class TestTrainBasics:
         assert not opt.velocity.any()
 
     def test_non_finite_gradient_aborts_training_at_its_step(self, monkeypatch):
-        import cycleadapt.autodiff as autodiff
+        from cycleadapt.nn import Sgd
         import cycleadapt.trainer as trainer_mod
 
         built = []
@@ -154,16 +157,18 @@ class TestTrainBasics:
             return built[-1]
 
         monkeypatch.setattr(trainer_mod, "build_suite", capture)
+        # steps 2.. replay a traced plan and call no Tensor.backward, so the
+        # gradient is poisoned where the optimizer reads it
         calls = {"n": 0}
-        real_backward = autodiff.Tensor.backward
+        real_step = Sgd.step
 
-        def poisoned_backward(self):
-            real_backward(self)
+        def poisoned_step(opt):
             calls["n"] += 1
             if calls["n"] == 4:
                 built[0].features.layers[0].weight.grad[0, 0, 0] = np.nan
+            real_step(opt)
 
-        monkeypatch.setattr(autodiff.Tensor, "backward", poisoned_backward)
+        monkeypatch.setattr(Sgd, "step", poisoned_step)
         with pytest.raises(TrainingAborted) as exc:
             train(quick_cfg(), PAIR)
         assert exc.value.step == 4
@@ -923,7 +928,7 @@ class TestReplicaGroup:
         assert group.value.last_breakdown == alone.value.last_breakdown
 
     def test_group_abort_names_the_first_failing_replica(self, monkeypatch):
-        import cycleadapt.autodiff as autodiff
+        from cycleadapt.nn import Sgd
         import cycleadapt.trainer as trainer_mod
 
         built = []
@@ -934,17 +939,19 @@ class TestReplicaGroup:
             return built[-1]
 
         monkeypatch.setattr(trainer_mod, "build_suite", capture)
+        # steps 2.. replay a traced plan, so the gradient is poisoned where
+        # the optimizer reads it
         calls = {"n": 0}
-        real_backward = autodiff.Tensor.backward
+        real_step = Sgd.step
 
-        def poisoned_backward(self):
-            real_backward(self)
+        def poisoned_step(opt):
             calls["n"] += 1
             if calls["n"] == 4:
                 # replica 1 only: the stacked gradient's second slice
                 built[0].s2t.layers[1].weight.grad[1, 0, 0] = np.nan
+            real_step(opt)
 
-        monkeypatch.setattr(autodiff.Tensor, "backward", poisoned_backward)
+        monkeypatch.setattr(Sgd, "step", poisoned_step)
         with pytest.raises(TrainingAborted) as exc:
             train(quick_cfg(), PAIR, seeds=[7, 8, 9])
         assert exc.value.step == 4
@@ -1002,3 +1009,87 @@ def _blas_threads() -> int:
     get = _openblas().scipy_openblas_get_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
     return get()
+
+
+def _graph_run(cfg, data, seeds):
+    """``train``'s steps with every step built as a graph by ``_grl_step``,
+    the reference of the traced replay: the stacked suite and each step's
+    breakdowns, or the ``_ReplicaFailed`` of the step that failed, with
+    its step number."""
+    from cycleadapt.losses import resolve_weights
+    from cycleadapt.nn import Sgd
+
+    suite = build_suite(cfg.arch, seeds)
+    weights = resolve_weights(cfg.ablation_mode, cfg.weights)
+    streams = [trainer_mod._streams(_alone(cfg, s), data, weights.needs_target) for s in seeds]
+    opt = Sgd(suite.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
+    steps = []
+    for step in range(1, cfg.total_steps + 1):
+        progress = step / cfg.total_steps
+        opt.lr = trainer_mod._lr_at(cfg.lr_schedule, cfg.lr, progress)
+        idx_s = np.stack([src.next() for src, _ in streams])
+        idx_t = np.stack([tgt.next() for _, tgt in streams]) if weights.needs_target else None
+        try:
+            steps.append(trainer_mod._grl_step(
+                suite, opt, Tensor(data.x_s[idx_s]), data.y_s[idx_s],
+                None if idx_t is None else Tensor(data.x_t[idx_t]), weights,
+                trainer_mod._grl_coeff(cfg.grl_schedule, progress),
+            ))
+        except trainer_mod._ReplicaFailed as failed:
+            return suite, steps, (step, failed)
+    return suite, steps, None
+
+
+class TestTracedStep:
+    """Steps 2.. of ``train`` replay the plan traced at step 1; they must
+    give the bits of building every step as a graph."""
+
+    @pytest.mark.parametrize("arch", [{}, RANDOMIZED_ARCH], ids=["exact", "randomized"])
+    @pytest.mark.parametrize("seeds", [[5], [5, 6]], ids=["K1", "K2"])
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_replay_equals_the_graph_step_bitwise(self, mode, seeds, arch):
+        # the GRL ramp moves at every step and the lr decays over the last
+        # 40%, across three evaluation intervals
+        cfg = quick_cfg(total_steps=30, eval_every=10, ablation_mode=mode)
+        cfg = replace(cfg, arch=replace(cfg.arch, **arch))
+        suite, steps, failed = _graph_run(cfg, PAIR, seeds)
+        assert failed is None
+        results = train(cfg, PAIR, seeds=seeds)
+        for k, result in enumerate(results):
+            for got, want in zip(result.suite.parameters(), suite.parameters(), strict=True):
+                assert np.array_equal(got.data, want.data[k])
+            assert [r.step for r in result.history] == [10, 20, 30]
+            for row in result.history:
+                want = steps[row.step - 1][k]
+                assert row.l_total == want.l_total and row.l_cls == want.l_cls
+                assert (row.l_dom, row.l_s2t, row.l_t2s, row.l_cyc) == (
+                    want.l_dom, want.l_s2t, want.l_t2s, want.l_cyc)
+
+    @pytest.mark.parametrize("seeds", [[2], [1, 2]], ids=["K1", "K2"])
+    def test_divergence_after_step_one_aborts_as_the_graph_step_does(self, seeds):
+        cfg = quick_cfg(lr=5.0, grl_schedule="constant", lr_schedule="constant")
+        _, _, (step, failed) = _graph_run(cfg, PAIR, seeds)
+        assert step == DIVERGENT_STEP > 1
+        with pytest.raises(TrainingAborted) as exc:
+            train(cfg, PAIR, seeds=seeds)
+        assert exc.value.step == step
+        assert str(exc.value) == (
+            f"aborted at step {step} (seed {seeds[failed.index]}): {failed.error}"
+        )
+
+    def test_only_step_one_builds_a_graph(self, monkeypatch):
+        calls = {"total_loss": 0, "backward": 0}
+        real_loss, real_backward = trainer_mod.total_loss, autodiff.Tensor.backward
+
+        def counting_loss(*args, **kwargs):
+            calls["total_loss"] += 1
+            return real_loss(*args, **kwargs)
+
+        def counting_backward(self):
+            calls["backward"] += 1
+            real_backward(self)
+
+        monkeypatch.setattr(trainer_mod, "total_loss", counting_loss)
+        monkeypatch.setattr(autodiff.Tensor, "backward", counting_backward)
+        train(quick_cfg(total_steps=12), PAIR)
+        assert calls == {"total_loss": 1, "backward": 1}
